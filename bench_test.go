@@ -355,8 +355,8 @@ func benchQualityMatrix(b *testing.B, workers int) {
 	}
 	b.StopTimer()
 	// Throughput from the obs counters: the layer delta over the timed
-	// region divided by the measured wall time (the same counters feed the
-	// BENCH_obfuscade.json artifact).
+	// region divided by the measured wall time (the same counter feeds
+	// the benchmark harness's slicer.layers_per_s).
 	layers := obs.Default().Counter("slicer.layers.sliced").Value() - layers0
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(layers)/sec, "layers/s")

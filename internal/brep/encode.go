@@ -3,6 +3,7 @@ package brep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"obfuscade/internal/geom"
@@ -248,6 +249,10 @@ func Load(data []byte) (*Part, error) {
 }
 
 func decodeShape(cs cadShape) (Shape, error) {
+	if err := checkCoords(cs.Z0, cs.Z1, cs.Center.X, cs.Center.Y, cs.Center.Z, cs.R,
+		cs.X0, cs.X1, cs.Axis.X, cs.Axis.Y); err != nil {
+		return nil, err
+	}
 	switch cs.Kind {
 	case "prism":
 		top, err := decodeBoundary(cs.Top)
@@ -267,11 +272,13 @@ func decodeShape(cs cadShape) (Shape, error) {
 		}
 		pieces := cs.Pieces
 		var breaks []float64
-		for i := 0; i+1 < len(pieces); i++ {
-			if len(pieces[i]) < 2 {
-				return nil, fmt.Errorf("revolve piece %d too short", i)
+		for i, piece := range pieces {
+			if err := checkSamples(piece); err != nil {
+				return nil, fmt.Errorf("revolve piece %d: %w", i, err)
 			}
-			breaks = append(breaks, pieces[i][len(pieces[i])-1].X)
+			if i+1 < len(pieces) {
+				breaks = append(breaks, piece[len(piece)-1].X)
+			}
 		}
 		radius := func(x float64) float64 {
 			// Locate the piece: left-continuous at breaks.
@@ -298,24 +305,30 @@ func decodeBoundary(cb *cadBoundary) (Boundary, error) {
 	if cb == nil {
 		return nil, fmt.Errorf("missing boundary")
 	}
+	if err := checkCoords(cb.X0, cb.Y0, cb.X1, cb.Y1); err != nil {
+		return nil, err
+	}
 	switch cb.Kind {
 	case "line":
 		return &LineBoundary{X0: cb.X0, Y0: cb.Y0, X1: cb.X1, Y1: cb.Y1}, nil
 	case "func":
-		samples := cb.Samples
-		if len(samples) < 2 {
-			return nil, fmt.Errorf("func boundary with %d samples", len(samples))
+		if err := checkSamples(cb.Samples); err != nil {
+			return nil, fmt.Errorf("func boundary: %w", err)
 		}
-		if !sort.SliceIsSorted(samples, func(i, j int) bool { return samples[i].X < samples[j].X }) {
-			return nil, fmt.Errorf("func boundary samples not x-sorted")
+		if cb.X0 > cb.X1 {
+			// Save samples from X0 to X1, which must come out x-sorted.
+			return nil, fmt.Errorf("func boundary runs backwards, x %g > %g", cb.X0, cb.X1)
 		}
 		return &FuncBoundary{
 			X0: cb.X0, X1: cb.X1, Tag: cb.Tag,
-			F: lerpSamples(samples),
+			F: lerpSamples(cb.Samples),
 		}, nil
 	case "spline":
 		s := &spline.Spline{}
 		for _, sp := range cb.Spans {
+			if err := checkCoords(sp.P0.X, sp.P0.Y, sp.P1.X, sp.P1.Y, sp.P2.X, sp.P2.Y, sp.P3.X, sp.P3.Y); err != nil {
+				return nil, err
+			}
 			s.Spans = append(s.Spans, spline.CubicBezier{P0: sp.P0, P1: sp.P1, P2: sp.P2, P3: sp.P3})
 		}
 		if len(s.Spans) == 0 {
@@ -338,6 +351,38 @@ func decodeBoundary(cb *cadBoundary) (Boundary, error) {
 	default:
 		return nil, fmt.Errorf("unknown boundary kind %q", cb.Kind)
 	}
+}
+
+// maxCoord bounds every decoded coordinate and dimension, in mm. A part
+// a kilometre across is far past any build volume, and the bound keeps
+// the mass properties Save derives finite, so an accepted part always
+// re-saves.
+const maxCoord = 1e6
+
+func checkCoords(vals ...float64) error {
+	for _, v := range vals {
+		if math.Abs(v) > maxCoord {
+			return fmt.Errorf("coordinate %g outside ±%g mm", v, float64(maxCoord))
+		}
+	}
+	return nil
+}
+
+// checkSamples rejects sample runs lerpSamples cannot evaluate (fewer
+// than two points, or points not sorted by x) and out-of-range points.
+func checkSamples(samples []geom.Vec2) error {
+	if len(samples) < 2 {
+		return fmt.Errorf("%d samples, want at least 2", len(samples))
+	}
+	for _, p := range samples {
+		if err := checkCoords(p.X, p.Y); err != nil {
+			return err
+		}
+	}
+	if !sort.SliceIsSorted(samples, func(i, j int) bool { return samples[i].X < samples[j].X }) {
+		return fmt.Errorf("samples not x-sorted")
+	}
+	return nil
 }
 
 // lerpSamples returns a piecewise-linear y(x) through x-sorted samples.

@@ -1,21 +1,27 @@
-// Package cache is the content-addressed result cache behind the
-// obfuscation job service (internal/serve): manufactured artifacts are
-// keyed by the SHA-256 of the canonical request that produced them, an
-// LRU byte budget bounds residency, and singleflight coalescing makes N
-// concurrent identical misses trigger exactly one pipeline run.
+// Package cache is the repository's content-addressed singleflight
+// cache: values are keyed by the SHA-256 of the canonical bytes that
+// determine them, an LRU byte budget bounds residency, and singleflight
+// coalescing makes N concurrent identical misses run the computation
+// exactly once. It has two users:
 //
-// A cache may be tiered over a persistent backing Store (see
-// internal/cache/diskstore): a memory miss falls through to the store
-// before it falls through to the computation, and computed values are
-// written through, so results survive process restarts. Because the
-// key hashes the pipeline version, a deploy that changes output bytes
-// invalidates naturally — old objects just stop being addressed.
+//   - The job service (internal/serve) keeps manufactured artifacts
+//     here, optionally tiered over a persistent Store (see
+//     internal/cache/diskstore): a memory miss falls through to the
+//     store before it falls through to the computation, and computed
+//     values are written through, so results survive process restarts.
+//     Because the key hashes the pipeline version, a deploy that changes
+//     output bytes invalidates naturally — old objects just stop being
+//     addressed.
+//   - The quality matrix's shared-geometry stage memo (internal/memo)
+//     keeps tessellated meshes and slicer indices here, one memory-only
+//     cache per matrix pass.
 //
-// Contracts the serving layer relies on:
+// Contracts both rely on:
 //
 //   - Cached values are immutable. A hit returns the same value the miss
 //     stored, so a repeated request is byte-for-byte identical to the
-//     first — the determinism of the pipeline extends across the cache.
+//     first; callers that need to mutate (e.g. orient a shared mesh)
+//     must clone first.
 //   - Errors are never cached: a failed computation propagates to every
 //     coalesced waiter whose own run is also doomed, and the next
 //     request retries from scratch.
@@ -25,8 +31,14 @@
 //     cancelled is promoted: it re-runs the computation itself instead
 //     of inheriting a cancellation that was never its own.
 //
-// Hit/miss/coalesce/eviction counts feed package obs (cache.* metrics)
-// and each lookup emits a trace span tagged with its outcome.
+// The two users differ only in how lookups are counted (see census). A
+// cache from New or NewTiered counts hits, misses, coalesced joins and
+// promotions separately as cache.* metrics on cache.lookup spans. A
+// cache from NewMemo counts memo.builds and memo.reused on memo.lookup
+// spans: a serial matrix pass resolves a repeated key as a hit where a
+// pooled pass coalesces onto the in-flight leader, so the two are one
+// outcome and the matrix's metric and trace censuses stay independent
+// of scheduling.
 package cache
 
 import (
@@ -34,33 +46,90 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"sync"
 
 	"obfuscade/internal/obs"
 	"obfuscade/internal/trace"
 )
 
-// Cache metrics. The process-wide registry aggregates across instances;
-// per-instance numbers come from Cache.Stats.
-var (
-	mHits       = obs.Default().Counter("cache.hits")
-	mMisses     = obs.Default().Counter("cache.misses")
-	mCoalesced  = obs.Default().Counter("cache.coalesced")
-	mEvictions  = obs.Default().Counter("cache.evictions")
-	mPromoted   = obs.Default().Counter("cache.promoted")
-	mStoreFails = obs.Default().Counter("cache.store.errors")
-	gBytes      = obs.Default().Gauge("cache.bytes")
-	gEntries    = obs.Default().Gauge("cache.entries")
-)
+// census maps lookup events onto obs handles and span labels; it is the
+// only thing that differs between a serving cache and a stage memo.
+type census struct {
+	span     string          // trace span name of one lookup
+	timer    *obs.StageTimer // times each lookup; nil for none
+	stageArg bool            // tag spans with the key's stage (Key.stage)
+	label    [4]string       // span outcome label, by Outcome
+	count    [4]*obs.Counter // per-outcome counter, by Outcome; nil uncounted
+	promoted *obs.Counter    // nil uncounted
+	evicted  interface{ Add(int64) }
+	bytes    *obs.Gauge
+	entries  *obs.Gauge
+}
+
+var outcomeNames = [...]string{Hit: "hit", Miss: "miss", Coalesced: "coalesced", DiskHit: "disk_hit"}
+
+// serveCensus splits every outcome for the serving tier. The process-wide
+// registry aggregates across instances; per-instance numbers come from
+// Cache.Stats. Disk hits are counted by the store (cache.disk.hits).
+var serveCensus = census{
+	span:  "cache.lookup",
+	label: outcomeNames,
+	count: [4]*obs.Counter{
+		Hit:       obs.Default().Counter("cache.hits"),
+		Miss:      obs.Default().Counter("cache.misses"),
+		Coalesced: obs.Default().Counter("cache.coalesced"),
+	},
+	promoted: obs.Default().Counter("cache.promoted"),
+	evicted:  obs.Default().Counter("cache.evictions"),
+	bytes:    obs.Default().Gauge("cache.bytes"),
+	entries:  obs.Default().Gauge("cache.entries"),
+}
+
+// memoCensus counts only what the key multiset decides: builds (misses)
+// and reuses (hits and coalesced joins alike). Evictions and residency
+// are gauges, because an LRU's eviction order under concurrency is a
+// scheduling accident, and gauges stay out of the deterministic view.
+var memoCensus = census{
+	span:     "memo.lookup",
+	timer:    obs.Stage("memo.lookup"),
+	stageArg: true,
+	label:    [4]string{Hit: "reused", Miss: "built", Coalesced: "reused"},
+	count: [4]*obs.Counter{
+		Hit:       obs.Default().Counter("memo.reused"),
+		Miss:      obs.Default().Counter("memo.builds"),
+		Coalesced: obs.Default().Counter("memo.reused"),
+	},
+	evicted: obs.Default().Gauge("memo.evictions"),
+	bytes:   obs.Default().Gauge("memo.bytes"),
+	entries: obs.Default().Gauge("memo.entries"),
+}
+
+var mStoreFails = obs.Default().Counter("cache.store.errors")
+
+func inc(c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+}
 
 // Key is the content address of a cached result: the hex SHA-256 of the
-// canonical request bytes.
+// canonical request bytes, optionally behind a "stage/" tag.
 type Key string
 
 // KeyOf hashes canonical request bytes into a Key.
 func KeyOf(canonical []byte) Key {
 	sum := sha256.Sum256(canonical)
 	return Key(hex.EncodeToString(sum[:]))
+}
+
+// stage returns the key's stage tag (the part before its first '/'), or
+// the whole key when it has none.
+func (k Key) stage() string {
+	if i := strings.IndexByte(string(k), '/'); i >= 0 {
+		return string(k[:i])
+	}
+	return string(k)
 }
 
 // Value is a cacheable result. SizeBytes is the value's residency cost
@@ -103,20 +172,10 @@ const (
 )
 
 // String implements fmt.Stringer.
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Miss:
-		return "miss"
-	case DiskHit:
-		return "disk_hit"
-	default:
-		return "coalesced"
-	}
-}
+func (o Outcome) String() string { return outcomeNames[o] }
 
-// Stats is a point-in-time census of one cache instance.
+// Stats is a point-in-time census of one cache instance. For a stage
+// memo, Misses are its builds and Hits+Coalesced its reuses.
 type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -152,8 +211,9 @@ type entry struct {
 // optionally tiered over a persistent backing store. All methods are
 // safe for concurrent use.
 type Cache struct {
-	store Store // nil for a memory-only cache
-	codec Codec
+	census *census
+	store  Store // nil for a memory-only cache
+	codec  Codec
 
 	mu     sync.Mutex
 	max    int64 // byte budget; <= 0 means unbounded
@@ -164,11 +224,9 @@ type Cache struct {
 	stats  Stats
 }
 
-// New returns a memory-only cache with the given byte budget.
-// maxBytes <= 0 means unbounded (no eviction) — useful for tests, not
-// production serving.
-func New(maxBytes int64) *Cache {
+func newCache(maxBytes int64, cs *census) *Cache {
 	return &Cache{
+		census: cs,
 		max:    maxBytes,
 		ll:     list.New(),
 		items:  map[Key]*list.Element{},
@@ -176,8 +234,13 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// NewTiered returns a cache layered over a persistent store: a memory
-// miss falls through to the store before it falls through to the
+// New returns a memory-only serving cache with the given byte budget.
+// maxBytes <= 0 means unbounded (no eviction) — useful for tests, not
+// production serving.
+func New(maxBytes int64) *Cache { return newCache(maxBytes, &serveCensus) }
+
+// NewTiered returns a serving cache layered over a persistent store: a
+// memory miss falls through to the store before it falls through to the
 // computation, and computed values are written through. codec
 // round-trips values through the store's byte payloads; both must be
 // non-nil.
@@ -190,63 +253,10 @@ func NewTiered(maxBytes int64, store Store, codec Codec) *Cache {
 	return c
 }
 
-// Get returns the resident value for key, refreshing its recency.
-func (c *Cache) Get(key Key) (Value, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// Add inserts a computed value under key, evicting least-recently-used
-// entries until the byte budget holds again. A value larger than the
-// whole budget is not cached at all.
-func (c *Cache) Add(key Key, v Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLocked(key, v)
-}
-
-func (c *Cache) addLocked(key Key, v Value) {
-	size := v.SizeBytes()
-	if c.max > 0 && size > c.max {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		old := el.Value.(*entry)
-		c.bytes += size - old.size
-		gBytes.Add(size - old.size)
-		old.val, old.size = v, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: v, size: size})
-		c.bytes += size
-		gBytes.Add(size)
-		gEntries.Add(1)
-	}
-	for c.max > 0 && c.bytes > c.max {
-		c.evictOldestLocked()
-	}
-}
-
-func (c *Cache) evictOldestLocked() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.items, e.key)
-	c.bytes -= e.size
-	c.stats.Evictions++
-	mEvictions.Inc()
-	gBytes.Add(-e.size)
-	gEntries.Add(-1)
-}
+// NewMemo returns a memory-only cache counted as a stage memo (memo.*
+// metrics, memo.lookup spans tagged with the key's stage). It backs
+// internal/memo.New.
+func NewMemo(maxBytes int64) *Cache { return newCache(maxBytes, &memoCensus) }
 
 // GetOrCompute returns the value for key, computing it with fn on a
 // miss. Concurrent callers with the same key coalesce: exactly one runs
@@ -260,10 +270,17 @@ func (c *Cache) evictOldestLocked() {
 // itself. A waiter whose own ctx ends returns early with ctx.Err()
 // while the leader keeps computing.
 func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func(ctx context.Context) (Value, error)) (v Value, out Outcome, err error) {
-	sctx, sp := trace.StartSpan(ctx, "stage", "cache.lookup")
+	cs := c.census
+	var args []trace.Arg
+	if cs.stageArg {
+		args = []trace.Arg{trace.A("stage", key.stage())}
+	}
+	sctx, sp := trace.StartSpan(ctx, "stage", cs.span, args...)
+	timer := cs.timer.Start()
 	defer func() {
-		sp.SetArg("outcome", out.String())
+		sp.SetArg("outcome", cs.label[out])
 		sp.End()
+		timer.EndErr(err)
 	}()
 
 	for {
@@ -271,14 +288,14 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func(ctx context.C
 		if el, ok := c.items[key]; ok {
 			c.ll.MoveToFront(el)
 			c.stats.Hits++
-			mHits.Inc()
+			inc(cs.count[Hit])
 			v := el.Value.(*entry).val
 			c.mu.Unlock()
 			return v, Hit, nil
 		}
 		if cl, ok := c.flight[key]; ok {
 			c.stats.Coalesced++
-			mCoalesced.Inc()
+			inc(cs.count[Coalesced])
 			c.mu.Unlock()
 			select {
 			case <-cl.done:
@@ -291,7 +308,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func(ctx context.C
 					c.mu.Lock()
 					c.stats.Promoted++
 					c.mu.Unlock()
-					mPromoted.Inc()
+					inc(cs.promoted)
 					continue
 				}
 				return cl.val, Coalesced, cl.err
@@ -344,25 +361,37 @@ func (c *Cache) lead(ctx context.Context, key Key, cl *call, fn func(ctx context
 		c.stats.DiskHits++
 	} else {
 		c.stats.Misses++
-		mMisses.Inc()
 	}
+	inc(c.census.count[out])
 	c.mu.Unlock()
 	close(cl.done)
 	return out
 }
 
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Bytes returns the resident byte total.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
+// addLocked makes a computed value resident, evicting least-recently-
+// used entries until the byte budget holds again. A value larger than
+// the whole budget is not retained (it still serves its leader and the
+// coalesced waiters). Only a key's singleflight leader adds, and only
+// after finding the key absent, so key is never already resident.
+func (c *Cache) addLocked(key Key, v Value) {
+	size := v.SizeBytes()
+	if c.max > 0 && size > c.max {
+		return
+	}
+	cs := c.census
+	c.items[key] = c.ll.PushFront(&entry{key: key, val: v, size: size})
+	c.bytes += size
+	cs.bytes.Add(size)
+	cs.entries.Add(1)
+	for c.max > 0 && c.bytes > c.max {
+		e := c.ll.Remove(c.ll.Back()).(*entry)
+		delete(c.items, e.key)
+		c.bytes -= e.size
+		c.stats.Evictions++
+		cs.evicted.Add(1)
+		cs.bytes.Add(-e.size)
+		cs.entries.Add(-1)
+	}
 }
 
 // Stats returns a snapshot of this instance's counters and residency.

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"obfuscade/internal/brep"
-	"obfuscade/internal/memo"
+	"obfuscade/internal/cache"
 	"obfuscade/internal/obs"
 	"obfuscade/internal/printer"
 	"obfuscade/internal/supplychain"
@@ -166,7 +166,7 @@ func ManufactureCtx(ctx context.Context, prot *Protected, key Key, prof printer.
 // (CAD bytes, resolution) share tessellation work through mm; nil mm is
 // exactly ManufactureCtx. Outputs are byte-identical either way — the
 // memo trades only time and allocations, never content.
-func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile, mm *memo.Memo) (res *ManufactureResult, err error) {
+func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile, mm *cache.Cache) (res *ManufactureResult, err error) {
 	span := stManufacture.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "core.manufacture")
 	defer func() {

@@ -1,65 +1,35 @@
-// Package memo is the shared-geometry stage memo behind the quality
-// matrix: a content-addressed map from stage keys (hashes of the exact
-// inputs that determine a stage's output) to immutable stage artifacts,
-// with singleflight coalescing so N concurrent matrix keys that need the
-// same tessellation or slicer index compute it exactly once.
+// Package memo addresses the quality matrix's shared-geometry stage memo:
+// Keyed derives the content address of a stage artifact (a tessellated
+// master mesh, a slicer z-sweep index) from the exact inputs that
+// determine it, and New returns the internal/cache instance that holds
+// them, so N concurrent matrix keys that need the same artifact compute
+// it exactly once.
 //
-// It differs from internal/cache deliberately:
+// The memo is an ordinary cache.Cache with two deliberate differences
+// from the serving cache:
 //
-//   - Values are arbitrary in-memory artifacts (*mesh.Mesh, *slicer.Index),
-//     not serialisable results — there is no disk tier and no codec.
-//   - The intended lifetime is one matrix pass: core.QualityMatrixWorkers
-//     creates a fresh Memo per run, so warm state never leaks between runs
-//     and the determinism contracts (serial == pool-of-N metrics and trace
-//     censuses) keep holding. Longer-lived memos are allowed but then the
-//     caller owns the determinism story.
-//   - Observability is scheduling-independent by construction: a serial
-//     run resolves a repeated key as a plain hit while a pooled run
-//     resolves it by coalescing onto the in-flight leader, so the two are
-//     counted together as memo.reused. Only memo.builds and memo.reused
-//     are counters (both depend solely on the key multiset); eviction and
-//     residency are gauges, excluded from the deterministic metric view.
+//   - It is memory-only: values are in-memory artifacts, not
+//     serialisable results, so there is no disk tier and no codec.
+//   - It is counted by key multiset, not by scheduling: memo.builds and
+//     memo.reused (hits and coalesced joins alike) are the only
+//     counters, so serial == pool-of-N metric and trace censuses hold.
 //
-// Contracts callers rely on:
-//
-//   - Memoized values are immutable. A reuse returns the same value the
-//     build stored; callers that need to mutate (e.g. orient a shared
-//     mesh) must clone first.
-//   - Errors are never memoized: a failed build propagates to every
-//     coalesced waiter and the next caller retries from scratch.
-//   - A waiter whose own context ends returns early with that context's
-//     error; the leader keeps building and still populates the memo.
-//   - A waiter whose leader failed because the *leader's* context was
-//     cancelled is promoted: it re-runs the build itself instead of
-//     inheriting a cancellation that was never its own.
+// The intended lifetime is one matrix pass: core.QualityMatrixWorkers
+// creates a fresh memo per run, so warm state never leaks between runs.
+// Longer-lived memos are allowed, but then the caller owns the
+// determinism story.
 package memo
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
 
-	"obfuscade/internal/obs"
-	"obfuscade/internal/trace"
+	"obfuscade/internal/cache"
 )
 
-// Memo metrics. builds and reused are deterministic counters (they count
-// key-multiset facts, not scheduling accidents); residency and eviction
-// are gauges because an LRU's eviction order under concurrency is not.
-var (
-	stLookup   = obs.Stage("memo.lookup")
-	mBuilds    = obs.Default().Counter("memo.builds")
-	mReused    = obs.Default().Counter("memo.reused")
-	gEvictions = obs.Default().Gauge("memo.evictions")
-	gBytes     = obs.Default().Gauge("memo.bytes")
-	gEntries   = obs.Default().Gauge("memo.entries")
-)
-
-// Key addresses one memoized stage artifact: a stage tag plus the hex
-// SHA-256 of the canonical input bytes. Build it with Keyed.
-type Key string
+// Key addresses one memoized stage artifact: a stage tag, a '/', and the
+// hex SHA-256 of the canonical input bytes. Build it with Keyed.
+type Key = cache.Key
 
 // Keyed derives a Key from a stage tag, a schema-version string (bump it
 // whenever the stage's output bytes change — the memo analogue of
@@ -84,234 +54,7 @@ func Keyed(stage, version string, parts ...[]byte) Key {
 	return Key(stage + "/" + hex.EncodeToString(h.Sum(nil)))
 }
 
-// Stage returns the key's stage tag (the part before the hash) for
-// human-readable trace args.
-func (k Key) Stage() string {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '/' {
-			return string(k[:i])
-		}
-	}
-	return string(k)
-}
-
-// Outcome classifies how a Do call was served.
-type Outcome int
-
-const (
-	// Built means this caller ran the build (the singleflight leader).
-	Built Outcome = iota
-	// Reused means the artifact already existed (memory hit) or an
-	// identical in-flight build was joined (coalesced). The two are one
-	// outcome on purpose: which of them a given reuse is depends on
-	// scheduling, and the deterministic metric and trace contracts
-	// require scheduling-independent observability.
-	Reused
-)
-
-// String implements fmt.Stringer.
-func (o Outcome) String() string {
-	if o == Built {
-		return "built"
-	}
-	return "reused"
-}
-
-// Stats is a point-in-time census of one memo instance. Hits and
-// Coalesced split the Reused outcome for diagnostics; only their sum is
-// scheduling-independent.
-type Stats struct {
-	Builds    int64 `json:"builds"`
-	Hits      int64 `json:"hits"`
-	Coalesced int64 `json:"coalesced"`
-	Promoted  int64 `json:"promoted"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-}
-
-// BuildFunc computes one stage artifact. size is the value's residency
-// cost in bytes against the byte budget and must be stable for the
-// value's lifetime.
-type BuildFunc func(ctx context.Context) (val any, size int64, err error)
-
-// call is one in-flight singleflight build. val/size/err are written
-// before done closes; waiters read them only after <-done. ctx is the
-// leader's context, inspected by waiters to distinguish "the build
-// failed" from "the leader was cancelled out from under me".
-type call struct {
-	done chan struct{}
-	ctx  context.Context
-	val  any
-	size int64
-	err  error
-}
-
-// entry is one resident artifact; list elements hold *entry.
-type entry struct {
-	key  Key
-	val  any
-	size int64
-}
-
-// Memo is a content-addressed stage memo with singleflight coalescing
-// and an optional LRU byte budget. All methods are safe for concurrent
-// use.
-type Memo struct {
-	mu     sync.Mutex
-	max    int64 // byte budget; <= 0 means unbounded
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[Key]*list.Element
-	flight map[Key]*call
-	stats  Stats
-}
-
-// New returns a memo with the given byte budget. maxBytes <= 0 means
-// unbounded — the right setting for a per-matrix-run memo, whose
-// residency is bounded by the key space itself.
-func New(maxBytes int64) *Memo {
-	return &Memo{
-		max:    maxBytes,
-		ll:     list.New(),
-		items:  map[Key]*list.Element{},
-		flight: map[Key]*call{},
-	}
-}
-
-// Get returns the resident artifact for key, refreshing its recency.
-func (m *Memo) Get(key Key) (any, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.items[key]
-	if !ok {
-		return nil, false
-	}
-	m.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// Do returns the artifact for key, running build on the first request.
-// Concurrent callers with the same key coalesce: exactly one runs build
-// (the leader, under the leader's ctx), the rest wait for its result.
-// build must return a non-nil value on success. Errors are not memoized.
-func (m *Memo) Do(ctx context.Context, key Key, build BuildFunc) (v any, out Outcome, err error) {
-	sctx, sp := trace.StartSpan(ctx, "stage", "memo.lookup", trace.A("stage", key.Stage()))
-	defer func() {
-		sp.SetArg("outcome", out.String())
-		sp.End()
-	}()
-	span := stLookup.Start()
-	defer func() { span.EndErr(err) }()
-
-	for {
-		m.mu.Lock()
-		if el, ok := m.items[key]; ok {
-			m.ll.MoveToFront(el)
-			m.stats.Hits++
-			v := el.Value.(*entry).val
-			m.mu.Unlock()
-			mReused.Inc()
-			return v, Reused, nil
-		}
-		if cl, ok := m.flight[key]; ok {
-			m.stats.Coalesced++
-			m.mu.Unlock()
-			mReused.Inc()
-			select {
-			case <-cl.done:
-				if cl.err != nil && cl.ctx.Err() != nil && ctx.Err() == nil {
-					// The leader failed because *its* context was cancelled,
-					// not because the build is doomed. This waiter is still
-					// live — promote it: loop back and re-run rather than
-					// inheriting the leader's cancellation.
-					m.mu.Lock()
-					m.stats.Promoted++
-					m.mu.Unlock()
-					continue
-				}
-				return cl.val, Reused, cl.err
-			case <-ctx.Done():
-				return nil, Reused, ctx.Err()
-			}
-		}
-		cl := &call{done: make(chan struct{}), ctx: sctx}
-		m.flight[key] = cl
-		m.mu.Unlock()
-
-		cl.val, cl.size, cl.err = build(sctx)
-
-		m.mu.Lock()
-		delete(m.flight, key)
-		if cl.err == nil && cl.val != nil {
-			m.addLocked(key, cl.val, cl.size)
-		}
-		m.stats.Builds++
-		m.mu.Unlock()
-		mBuilds.Inc()
-		close(cl.done)
-		return cl.val, Built, cl.err
-	}
-}
-
-// addLocked inserts a built artifact, evicting least-recently-used
-// entries until the byte budget holds. An artifact larger than the whole
-// budget is not retained at all (it still serves the leader and any
-// coalesced waiters of this flight).
-func (m *Memo) addLocked(key Key, v any, size int64) {
-	if m.max > 0 && size > m.max {
-		return
-	}
-	if el, ok := m.items[key]; ok {
-		old := el.Value.(*entry)
-		m.bytes += size - old.size
-		gBytes.Add(size - old.size)
-		old.val, old.size = v, size
-		m.ll.MoveToFront(el)
-	} else {
-		m.items[key] = m.ll.PushFront(&entry{key: key, val: v, size: size})
-		m.bytes += size
-		gBytes.Add(size)
-		gEntries.Add(1)
-	}
-	for m.max > 0 && m.bytes > m.max {
-		el := m.ll.Back()
-		if el == nil {
-			return
-		}
-		e := el.Value.(*entry)
-		m.ll.Remove(el)
-		delete(m.items, e.key)
-		m.bytes -= e.size
-		m.stats.Evictions++
-		gEvictions.Add(1)
-		gBytes.Add(-e.size)
-		gEntries.Add(-1)
-	}
-}
-
-// Len returns the number of resident artifacts.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.items)
-}
-
-// Bytes returns the resident byte total.
-func (m *Memo) Bytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
-}
-
-// Stats returns a snapshot of this instance's counters and residency.
-func (m *Memo) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.Entries = int64(len(m.items))
-	s.Bytes = m.bytes
-	s.MaxBytes = m.max
-	return s
-}
+// New returns an empty stage memo with the given byte budget. maxBytes
+// <= 0 means unbounded — the right setting for a per-matrix-run memo,
+// whose residency is bounded by the key space itself.
+func New(maxBytes int64) *cache.Cache { return cache.NewMemo(maxBytes) }

@@ -2,18 +2,27 @@ package memo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"obfuscade/internal/cache"
+	"obfuscade/internal/obs"
 )
 
-func buildVal(v string, size int64) BuildFunc {
-	return func(context.Context) (any, int64, error) {
-		return v, size, nil
-	}
+// artifact is a test stage artifact of a declared size.
+type artifact struct {
+	id   string
+	size int64
+}
+
+func (a *artifact) SizeBytes() int64 { return a.size }
+
+// census reads the memo's deterministic counters.
+func census() (builds, reused int64) {
+	return obs.Default().Counter("memo.builds").Value(), obs.Default().Counter("memo.reused").Value()
 }
 
 func TestKeyedSeparatesParts(t *testing.T) {
@@ -26,293 +35,95 @@ func TestKeyedSeparatesParts(t *testing.T) {
 	if Keyed("tess", "v1", []byte("a")) == Keyed("zidx", "v1", []byte("a")) {
 		t.Error("stage tag not part of the key")
 	}
-	k := Keyed("tess", "v1", []byte("a"))
-	if k.Stage() != "tess" {
-		t.Errorf("Stage() = %q, want tess", k.Stage())
-	}
-	if Key("nohash").Stage() != "nohash" {
-		t.Errorf("Stage() of tagless key = %q", Key("nohash").Stage())
+	if k := Keyed("tess", "v1", []byte("a")); k[:5] != "tess/" {
+		t.Errorf("key %q does not lead with its stage tag", k)
 	}
 }
 
+// A memo from New counts a first lookup as a build and a repeat as a
+// reuse.
 func TestDoBuildsOnceThenReuses(t *testing.T) {
 	m := New(0)
 	ctx := context.Background()
-	var builds atomic.Int64
-	build := func(context.Context) (any, int64, error) {
-		builds.Add(1)
-		return "artifact", 8, nil
-	}
 	k := Keyed("tess", "v1", []byte("part"))
-
-	v, out, err := m.Do(ctx, k, build)
-	if err != nil || v.(string) != "artifact" || out != Built {
-		t.Fatalf("first Do = (%v, %v, %v), want (artifact, Built, nil)", v, out, err)
-	}
-	v, out, err = m.Do(ctx, k, build)
-	if err != nil || v.(string) != "artifact" || out != Reused {
-		t.Fatalf("second Do = (%v, %v, %v), want (artifact, Reused, nil)", v, out, err)
-	}
-	if builds.Load() != 1 {
-		t.Errorf("build ran %d times, want 1", builds.Load())
-	}
-	if got, ok := m.Get(k); !ok || got.(string) != "artifact" {
-		t.Errorf("Get = (%v, %v), want (artifact, true)", got, ok)
-	}
-	if _, ok := m.Get(Key("absent")); ok {
-		t.Error("Get(absent) reported a hit")
-	}
-	st := m.Stats()
-	if st.Builds != 1 || st.Hits != 1 || st.Entries != 1 || st.Bytes != 8 {
-		t.Errorf("stats = %+v, want builds=1 hits=1 entries=1 bytes=8", st)
-	}
-	if Built.String() != "built" || Reused.String() != "reused" {
-		t.Error("Outcome strings changed: the trace census contract depends on them")
-	}
-}
-
-func TestDoErrorNotMemoized(t *testing.T) {
-	m := New(0)
-	ctx := context.Background()
-	boom := errors.New("boom")
-	calls := 0
-	_, out, err := m.Do(ctx, "k", func(context.Context) (any, int64, error) {
-		calls++
-		return nil, 0, boom
-	})
-	if !errors.Is(err, boom) || out != Built {
-		t.Fatalf("failed Do = (%v, %v), want (boom, Built)", out, err)
-	}
-	v, out, err := m.Do(ctx, "k", buildVal("ok", 2))
-	if err != nil || v.(string) != "ok" || out != Built {
-		t.Fatalf("retry after error = (%v, %v, %v), want fresh build", v, out, err)
-	}
-	if calls != 1 {
-		t.Errorf("failing build ran %d times, want 1", calls)
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (error not retained)", m.Len())
-	}
-}
-
-func TestLRUByteBudget(t *testing.T) {
-	m := New(100)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		k := Key(fmt.Sprintf("k%d", i))
-		if _, _, err := m.Do(ctx, k, buildVal(fmt.Sprint(i), 40)); err != nil {
-			t.Fatal(err)
+	b0, r0 := census()
+	for i := 0; i < 2; i++ {
+		v, _, err := m.GetOrCompute(ctx, k, func(context.Context) (cache.Value, error) {
+			return &artifact{id: "artifact", size: 8}, nil
+		})
+		if err != nil || v.(*artifact).id != "artifact" {
+			t.Fatalf("lookup %d = (%v, %v)", i, v, err)
 		}
 	}
-	// 3 x 40 > 100: k0 (least recently used) must have been evicted.
-	if _, ok := m.Get("k0"); ok {
-		t.Error("k0 survived past the byte budget")
-	}
-	if _, ok := m.Get("k2"); !ok {
-		t.Error("k2 (most recent) evicted")
-	}
-	if m.Bytes() != 80 || m.Len() != 2 {
-		t.Errorf("residency = (%d bytes, %d entries), want (80, 2)", m.Bytes(), m.Len())
-	}
-	if st := m.Stats(); st.Evictions != 1 || st.MaxBytes != 100 {
-		t.Errorf("stats = %+v, want evictions=1 max=100", st)
-	}
-
-	// Touching k1 then inserting must evict k2, not the refreshed k1.
-	m.Get("k1")
-	if _, _, err := m.Do(ctx, "k3", buildVal("3", 40)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Get("k1"); !ok {
-		t.Error("recently-touched k1 evicted before the LRU k2")
-	}
-	if _, ok := m.Get("k2"); ok {
-		t.Error("k2 survived eviction despite being LRU")
-	}
-
-	// Oversized artifacts serve the caller but are not retained.
-	v, out, err := m.Do(ctx, "big", buildVal("huge", 1000))
-	if err != nil || v.(string) != "huge" || out != Built {
-		t.Fatalf("oversized Do = (%v, %v, %v)", v, out, err)
-	}
-	if _, ok := m.Get("big"); ok {
-		t.Error("artifact larger than the whole budget was retained")
-	}
-
-	// Rebuilding an evicted key updates the existing entry in place when
-	// raced (same-key re-add path).
-	if _, _, err := m.Do(ctx, "k3", buildVal("3", 40)); err != nil {
-		t.Fatal(err)
-	}
-	m.mu.Lock()
-	m.addLocked("k3", "replacement", 60)
-	m.mu.Unlock()
-	if v, _ := m.Get("k3"); v.(string) != "replacement" {
-		t.Error("in-place update of an existing key failed")
+	if b, r := census(); b-b0 != 1 || r-r0 != 1 {
+		t.Errorf("memo.builds/reused moved by %d/%d, want 1/1", b-b0, r-r0)
 	}
 }
 
+// Concurrent identical lookups count one build and N-1 reuses, whether a
+// given reuse was a hit or a coalesced join.
 func TestConcurrentCoalescing(t *testing.T) {
 	m := New(0)
-	var builds atomic.Int64
 	release := make(chan struct{})
-	build := func(context.Context) (any, int64, error) {
-		builds.Add(1)
-		<-release
-		return "shared", 4, nil
-	}
 	const waiters = 8
+	b0, r0 := census()
 	var wg sync.WaitGroup
-	outcomes := make([]Outcome, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			v, out, err := m.Do(context.Background(), "k", build)
-			if err != nil || v.(string) != "shared" {
-				t.Errorf("waiter %d: (%v, %v)", i, v, err)
-			}
-			outcomes[i] = out
-		}(i)
+			m.GetOrCompute(context.Background(), "tess/k", func(context.Context) (cache.Value, error) {
+				<-release
+				return &artifact{id: "shared", size: 4}, nil
+			})
+		}()
 	}
 	// Let the flight assemble, then release the leader.
 	time.Sleep(10 * time.Millisecond)
 	close(release)
 	wg.Wait()
-	if builds.Load() != 1 {
-		t.Fatalf("build ran %d times under coalescing, want 1", builds.Load())
-	}
-	built := 0
-	for _, out := range outcomes {
-		if out == Built {
-			built++
-		}
-	}
-	if built != 1 {
-		t.Errorf("%d waiters observed Built, want exactly 1", built)
-	}
-	st := m.Stats()
-	if st.Builds != 1 || st.Hits+st.Coalesced != waiters-1 {
-		t.Errorf("stats = %+v, want builds=1 and hits+coalesced=%d", st, waiters-1)
+	if b, r := census(); b-b0 != 1 || r-r0 != waiters-1 {
+		t.Errorf("memo.builds/reused moved by %d/%d, want 1/%d", b-b0, r-r0, waiters-1)
 	}
 }
 
-func TestWaiterContextCancellation(t *testing.T) {
-	m := New(0)
-	release := make(chan struct{})
-	leaderIn := make(chan struct{})
-	go m.Do(context.Background(), "k", func(context.Context) (any, int64, error) {
-		close(leaderIn)
-		<-release
-		return "late", 4, nil
-	})
-	<-leaderIn
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := m.Do(ctx, "k", buildVal("never", 1))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter error = %v, want context.Canceled", err)
-	}
-	// The leader still completes and populates the memo.
-	close(release)
-	deadline := time.After(2 * time.Second)
-	for {
-		if v, ok := m.Get("k"); ok {
-			if v.(string) != "late" {
-				t.Fatalf("leader stored %v", v)
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("leader never populated the memo after waiter cancellation")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-func TestWaiterPromotionOnLeaderCancellation(t *testing.T) {
-	m := New(0)
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderIn := make(chan struct{})
-	var rebuilds atomic.Int64
-	go m.Do(leaderCtx, "k", func(ctx context.Context) (any, int64, error) {
-		close(leaderIn)
-		<-ctx.Done()
-		return nil, 0, ctx.Err()
-	})
-	<-leaderIn
-
-	done := make(chan struct{})
-	var v any
-	var err error
-	go func() {
-		defer close(done)
-		v, _, err = m.Do(context.Background(), "k", func(context.Context) (any, int64, error) {
-			rebuilds.Add(1)
-			return "promoted", 4, nil
-		})
-	}()
-	// Give the waiter time to join the flight, then kill the leader.
-	time.Sleep(10 * time.Millisecond)
-	cancelLeader()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("promoted waiter never completed")
-	}
-	if err != nil || v.(string) != "promoted" {
-		t.Fatalf("promoted waiter = (%v, %v), want (promoted, nil)", v, err)
-	}
-	if rebuilds.Load() != 1 {
-		t.Errorf("promoted waiter rebuilt %d times, want 1", rebuilds.Load())
-	}
-	if st := m.Stats(); st.Promoted != 1 {
-		t.Errorf("stats.Promoted = %d, want 1", st.Promoted)
-	}
-}
-
-// TestPoolOf8Hammer drives a realistic matrix-shaped workload — few hot
-// keys, many goroutines, interleaved reads — through one memo from 8
-// workers. Run with -race this is the tier-2 guard for the shared
-// singleflight state.
+// TestPoolOf8Hammer drives a matrix-shaped workload — few hot keys, 8
+// workers — through one memo. The census depends only on the key
+// multiset: exactly one build per distinct key, and every other lookup a
+// reuse, regardless of interleaving.
 func TestPoolOf8Hammer(t *testing.T) {
 	m := New(1 << 20)
 	keys := make([]Key, 6)
 	for i := range keys {
 		keys[i] = Keyed("tess", "v1", []byte(fmt.Sprintf("part-%d", i%3)))
 	}
+	const workers, iters = 8, 200
+	b0, r0 := census()
 	var builds atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for iter := 0; iter < 200; iter++ {
+			for iter := 0; iter < iters; iter++ {
 				k := keys[(w+iter)%len(keys)]
-				v, _, err := m.Do(context.Background(), k, func(context.Context) (any, int64, error) {
+				v, _, err := m.GetOrCompute(context.Background(), k, func(context.Context) (cache.Value, error) {
 					builds.Add(1)
-					return string(k), 64, nil
+					return &artifact{id: string(k), size: 64}, nil
 				})
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
+				if err != nil || v.(*artifact).id != string(k) {
+					t.Errorf("worker %d: got (%v, %v) for key %s", w, v, err, k)
 					return
 				}
-				if v.(string) != string(k) {
-					t.Errorf("worker %d: got %v for key %s", w, v, k)
-					return
-				}
-				m.Get(k)
 			}
 		}(w)
 	}
 	wg.Wait()
-	// 6 key strings collapse to 3 distinct hashes (i%3): exactly 3 builds
-	// regardless of interleaving.
+	// 6 key strings collapse to 3 distinct hashes (i%3).
 	if builds.Load() != 3 {
 		t.Errorf("hammer built %d artifacts, want 3", builds.Load())
 	}
-	if m.Len() != 3 {
-		t.Errorf("Len = %d, want 3", m.Len())
+	if b, r := census(); b-b0 != 3 || r-r0 != workers*iters-3 {
+		t.Errorf("memo.builds/reused moved by %d/%d, want 3/%d", b-b0, r-r0, workers*iters-3)
 	}
 }

@@ -74,6 +74,13 @@ func (m *Mesh) TriangleCount() int {
 	return n
 }
 
+// SizeBytes estimates the mesh's memory residency for cache byte
+// budgets: 72 bytes of vertex data per triangle plus a 128-byte header
+// per shell.
+func (m *Mesh) SizeBytes() int64 {
+	return int64(m.TriangleCount())*72 + int64(len(m.Shells))*128
+}
+
 // AllTriangles returns a flat copy of every triangle in shell order.
 func (m *Mesh) AllTriangles() []geom.Triangle {
 	out := make([]geom.Triangle, 0, m.TriangleCount())

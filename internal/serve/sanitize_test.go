@@ -266,8 +266,7 @@ func TestSanitizeCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 
-	// Legacy job frames still decode as job results — the sentinel can
-	// never collide with a real stl length.
+	// Job frames share the disk tier; the kind byte tells them apart.
 	jobFrame, err := codec.Encode(&cachedResult{stl: []byte("s"), manifest: []byte("m"), stlSHA: "h", grade: "good"})
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +274,10 @@ func TestSanitizeCodecRoundTrip(t *testing.T) {
 	if v, err := codec.Decode(jobFrame); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*cachedResult); !ok {
-		t.Fatalf("legacy frame decoded as %T", v)
+		t.Fatalf("job frame decoded as %T", v)
 	}
 
-	// Structural corruption fails loudly in both layouts.
+	// Structural corruption fails loudly in both kinds.
 	for name, data := range map[string][]byte{
 		"truncated sanitize": frame[:len(frame)-1],
 		"trailing sanitize":  append(append([]byte(nil), frame...), 0),

@@ -50,24 +50,32 @@ func (r *cachedResult) SizeBytes() int64 {
 	return int64(len(r.stl) + len(r.manifest) + len(r.stlSHA) + len(r.grade))
 }
 
-// resultCodec round-trips cache values through the disk tier as
-// length-prefixed binary frames. A job result (cachedResult) is four
-// fields (stl, manifest, sha, grade), each a big-endian uint32 length
-// followed by that many bytes — the original frame layout, kept
-// byte-compatible so caches written before sanitize existed still
-// decode. A sanitize result (sanitizedResult) is discriminated by a
-// leading sanitizeFrameMark word followed by three fields (stl, report,
-// sha). The disk store's own integrity digest covers the frame, so the
-// codec only validates structure, not content.
+// resultCodec round-trips cache values through the disk tier as one
+// frame: a version byte (frameVersion), a kind byte (frameJob or
+// frameSanitize), then the kind's fields, each a big-endian uint32
+// length followed by that many bytes. A job result (cachedResult) has
+// four fields (stl, manifest, sha, grade), a sanitize result
+// (sanitizedResult) three (stl, report, sha). The disk store's own
+// integrity digest covers the frame, so the codec only validates
+// structure, not content. Any other layout fails to decode — including
+// the version-less frames of earlier builds, whose first byte is 0 (the
+// high byte of a job's stl length) or 0xFF (the sanitize sentinel) — and
+// the cache then recomputes and overwrites the object.
 type resultCodec struct{}
 
-// sanitizeFrameMark discriminates sanitize frames from legacy job
-// frames sharing one disk tier: a first uint32 of 0xFFFFFFFF can never
-// be a legacy stl-field length (a 4 GiB artifact is orders of magnitude
-// past every request bound), so old frames decode exactly as before.
-const sanitizeFrameMark = 0xFFFFFFFF
+const (
+	frameVersion  = 1
+	frameJob      = 'j'
+	frameSanitize = 's'
+)
 
-func appendFields(buf []byte, fields [][]byte) []byte {
+// frame encodes a header and length-prefixed fields.
+func frame(kind byte, fields ...[]byte) []byte {
+	n := 2
+	for _, f := range fields {
+		n += 4 + len(f)
+	}
+	buf := append(make([]byte, 0, n), frameVersion, kind)
 	for _, f := range fields {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
 		buf = append(buf, f...)
@@ -101,12 +109,9 @@ func splitFields(data []byte, n int) ([][]byte, error) {
 func (resultCodec) Encode(v cache.Value) ([]byte, error) {
 	switch r := v.(type) {
 	case *cachedResult:
-		buf := make([]byte, 0, int(r.SizeBytes())+16)
-		return appendFields(buf, [][]byte{r.stl, r.manifest, []byte(r.stlSHA), []byte(r.grade)}), nil
+		return frame(frameJob, r.stl, r.manifest, []byte(r.stlSHA), []byte(r.grade)), nil
 	case *sanitizedResult:
-		buf := make([]byte, 0, int(r.SizeBytes())+16)
-		buf = binary.BigEndian.AppendUint32(buf, sanitizeFrameMark)
-		return appendFields(buf, [][]byte{r.stl, r.report, []byte(r.sha)}), nil
+		return frame(frameSanitize, r.stl, r.report, []byte(r.sha)), nil
 	default:
 		return nil, fmt.Errorf("serve: encoding %T, want *cachedResult or *sanitizedResult", v)
 	}
@@ -114,27 +119,28 @@ func (resultCodec) Encode(v cache.Value) ([]byte, error) {
 
 var errBadFrame = errors.New("serve: malformed cached result frame")
 
-// Decode implements cache.Codec. A structurally invalid payload (for
-// example one written by a build with a different layout) returns an
-// error, which the cache treats as a miss and recomputes.
+// Decode implements cache.Codec. A structurally invalid payload returns
+// an error, which the cache treats as a miss and recomputes.
 func (resultCodec) Decode(data []byte) (cache.Value, error) {
-	if len(data) >= 4 && binary.BigEndian.Uint32(data) == sanitizeFrameMark {
-		fields, err := splitFields(data[4:], 3)
+	if len(data) < 2 || data[0] != frameVersion {
+		return nil, errBadFrame
+	}
+	switch data[1] {
+	case frameJob:
+		f, err := splitFields(data[2:], 4)
 		if err != nil {
 			return nil, err
 		}
-		return &sanitizedResult{stl: fields[0], report: fields[1], sha: string(fields[2])}, nil
+		return &cachedResult{stl: f[0], manifest: f[1], stlSHA: string(f[2]), grade: string(f[3])}, nil
+	case frameSanitize:
+		f, err := splitFields(data[2:], 3)
+		if err != nil {
+			return nil, err
+		}
+		return &sanitizedResult{stl: f[0], report: f[1], sha: string(f[2])}, nil
+	default:
+		return nil, errBadFrame
 	}
-	fields, err := splitFields(data, 4)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedResult{
-		stl:      fields[0],
-		manifest: fields[1],
-		stlSHA:   string(fields[2]),
-		grade:    string(fields[3]),
-	}, nil
 }
 
 // Result is the deliverable of one Service.Do call.

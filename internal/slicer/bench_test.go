@@ -12,7 +12,8 @@ import (
 
 // Kernel benchmarks: indexed vs naive on the paper's split tensile bar.
 // Both run on a 1-worker pool so the comparison isolates the kernels from
-// the fan-out; the layers/s metric is what the benchdiff gate tracks.
+// the fan-out; layers/s is the kernel-level view of the benchmark
+// harness's slicer.layers_per_s.
 //
 //	go test ./internal/slicer -bench 'BenchmarkSliceKernel' -run '^$' -benchmem
 

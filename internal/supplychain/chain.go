@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"obfuscade/internal/brep"
+	"obfuscade/internal/cache"
 	"obfuscade/internal/fea"
 	"obfuscade/internal/gcode"
 	"obfuscade/internal/geom"
@@ -48,12 +49,12 @@ type Pipeline struct {
 	// RunFEA enables the design-stage FEA pass (paper Fig. 3's model
 	// optimisation step); adds runtime.
 	RunFEA bool
-	// Memo, when non-nil, memoizes the content-addressed stage artifacts
-	// (tessellated master mesh, slicer z-sweep index) so near-duplicate
-	// keys — same geometry at a different orientation or a repeated run —
-	// share the serial prologue work instead of redoing it. Nil keeps the
-	// reference path; outputs are byte-identical either way.
-	Memo *memo.Memo
+	// Memo, when non-nil (from memo.New), memoizes the content-addressed
+	// stage artifacts (tessellated master mesh, slicer z-sweep index) so
+	// near-duplicate keys — same geometry at a different orientation or a
+	// repeated run — share the serial prologue work instead of redoing it.
+	// Nil keeps the reference path; outputs are byte-identical either way.
+	Memo *cache.Cache
 }
 
 // DefaultPipeline returns the paper's baseline process: Coarse STL,
@@ -209,13 +210,8 @@ func (p Pipeline) tessellated(ctx context.Context, part *brep.Part, cadBytes []b
 		return tessellate.Tessellate(part, p.Resolution)
 	}
 	key := memo.Keyed("tess", memoSchema, cadBytes, resKey(p.Resolution))
-	v, _, err := p.Memo.Do(ctx, key, func(context.Context) (any, int64, error) {
-		m, err := tessellate.Tessellate(part, p.Resolution)
-		if err != nil {
-			return nil, 0, err
-		}
-		// 72 bytes of vertex data per triangle plus per-shell headers.
-		return m, int64(m.TriangleCount())*72 + int64(len(m.Shells))*128, nil
+	v, _, err := p.Memo.GetOrCompute(ctx, key, func(context.Context) (cache.Value, error) {
+		return tessellate.Tessellate(part, p.Resolution)
 	})
 	if err != nil {
 		return nil, err
@@ -238,12 +234,8 @@ func (p Pipeline) sweepIndex(ctx context.Context, m *mesh.Mesh, cadBytes []byte,
 	key := memo.Keyed("zidx", memoSchema, cadBytes, resKey(p.Resolution),
 		[]byte(fmt.Sprint(p.Orientation)),
 		[]byte(strconv.FormatFloat(opts.LayerHeight, 'g', -1, 64)))
-	v, _, err := p.Memo.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		ix, err := slicer.BuildIndex(ctx, m, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.SizeBytes(), nil
+	v, _, err := p.Memo.GetOrCompute(ctx, key, func(ctx context.Context) (cache.Value, error) {
+		return slicer.BuildIndex(ctx, m, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -42,8 +42,8 @@ func TestMemoizedPipelineByteIdentical(t *testing.T) {
 	st := mm.Stats()
 	// 2 resolutions x 2 orientations: tessellation is orientation-blind so
 	// only 2 builds; the z-sweep index keys on orientation so 4 builds.
-	if st.Builds != 2+4 {
-		t.Errorf("memo builds = %d, want 6 (2 tess + 4 index)", st.Builds)
+	if st.Misses != 2+4 {
+		t.Errorf("memo builds = %d, want 6 (2 tess + 4 index)", st.Misses)
 	}
 	if st.Hits+st.Coalesced != 2 {
 		t.Errorf("memo reuses = %d, want 2 (one tess hit per resolution)", st.Hits+st.Coalesced)
@@ -71,8 +71,8 @@ func TestMemoizedMeshImmutable(t *testing.T) {
 	if string(first.STLBytes) != string(again.STLBytes) {
 		t.Error("repeated memoized run changed STL bytes: shared mesh was mutated")
 	}
-	if st := mm.Stats(); st.Builds != 2 {
-		t.Errorf("builds = %d, want 2 (tess + index built once, reused after)", st.Builds)
+	if st := mm.Stats(); st.Misses != 2 {
+		t.Errorf("builds = %d, want 2 (tess + index built once, reused after)", st.Misses)
 	}
 }
 
