@@ -12,9 +12,13 @@ test:
 	$(GO) test ./...
 
 # Tier-2 verify: static analysis + the race detector over the parallel
-# pipeline (quality matrix, slicer fan-out, tensile replicates).
+# pipeline (quality matrix, slicer fan-out, tensile replicates). The
+# bench/ harness is a nested module that `go vet ./...` skips; vetting it
+# here makes a deleted or renamed symbol it imports fail locally, not
+# only in the CI bench job.
 race:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) test -race ./...
 
 # Go micro-benchmarks: serial-vs-parallel wall time for the quality

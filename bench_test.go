@@ -253,7 +253,7 @@ func BenchmarkSliceSplitBarXY(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := slicer.Slice(m, slicer.DefaultOptions()); err != nil {
+		if _, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,13 +265,13 @@ func BenchmarkVirtualPrintSplitBar(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sliced, err := slicer.Slice(m, slicer.DefaultOptions())
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := printer.Print(sliced, printer.DimensionElite(), printer.Options{}); err != nil {
+		if _, err := printer.PrintCtx(context.Background(), sliced, printer.DimensionElite(), printer.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkFEASplitTip(b *testing.B) {
 func BenchmarkTensileTestGroup(b *testing.B) {
 	spec := mech.Specimen{Mat: mech.ABS(mech.XY), SeamPresent: true, SeamQuality: 0.35, Kt: 2.6}
 	for i := 0; i < b.N; i++ {
-		if _, err := mech.TestGroup("bench", spec, 5, int64(i)); err != nil {
+		if _, err := mech.TestGroupCtx(context.Background(), "bench", spec, 5, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func BenchmarkFullPipelineCoarseXY(b *testing.B) {
 	pl := supplychain.DefaultPipeline()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Execute(part); err != nil {
+		if _, err := pl.ExecuteCtx(context.Background(), part); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func BenchmarkProtectAndManufacture(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Manufacture(prot, prot.Manifest.Key, printer.DimensionElite())
+		res, err := core.ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, printer.DimensionElite(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

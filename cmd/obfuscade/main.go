@@ -7,6 +7,7 @@
 //	obfuscade protect -out design.ocad -manifest manifest.json [-with-sphere]
 //	obfuscade manufacture -in design.ocad -manifest manifest.json
 //	                      [-res coarse|fine|custom] [-orient xy|xz] [-restore-sphere]
+//	                      [-printer fdm|polyjet] [-stl out.stl] [-gcode out.gcode] [-inspect]
 //	obfuscade matrix -in design.ocad -manifest manifest.json [-keyspace] [-workers N]
 //	obfuscade keyspace -in design.ocad -manifest manifest.json [-workers N]
 //	obfuscade advise [-amplitudes 1.0,2.0]
@@ -65,10 +66,11 @@
 // STL SHA-256, grade, per-stage wall times). The stats subcommand runs a
 // full quality-matrix pass on the reference protected bar and emits the
 // metrics snapshot as JSON (-format json, the default) or human tables
-// (-format text; -table is a deprecated alias).
+// (-format text).
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -81,6 +83,7 @@ import (
 
 	"obfuscade/internal/brep"
 	"obfuscade/internal/core"
+	"obfuscade/internal/gcode"
 	"obfuscade/internal/mech"
 	"obfuscade/internal/obs"
 	"obfuscade/internal/parallel"
@@ -88,6 +91,7 @@ import (
 	"obfuscade/internal/stl"
 	"obfuscade/internal/tessellate"
 	"obfuscade/internal/trace"
+	"obfuscade/internal/voxel"
 	"obfuscade/internal/watermark"
 )
 
@@ -235,9 +239,9 @@ func loadManifest(path string) (core.Manifest, error) {
 	if err != nil {
 		return core.Manifest{}, err
 	}
-	o := mech.XY
-	if mf.KeyOrient == "x-z" {
-		o = mech.XZ
+	o, err := mech.ParseOrientation(mf.KeyOrient)
+	if err != nil {
+		return core.Manifest{}, err
 	}
 	return core.Manifest{
 		PartName:  mf.PartName,
@@ -301,9 +305,13 @@ func cmdManufacture(args []string) error {
 	man := fs.String("manifest", "manifest.json", "manifest file")
 	resName := fs.String("res", "coarse", "STL resolution")
 	orient := fs.String("orient", "xy", "print orientation (xy, xz)")
+	printerName := fs.String("printer", "fdm", "printer profile: fdm (Dimension Elite) or polyjet (Objet30 Pro)")
 	restore := fs.Bool("restore-sphere", false, "apply the secret CAD operation")
 	authenticate := fs.Bool("authenticate", true, "authenticate the printed part")
 	manifestOut := fs.String("manifest-out", "", "write this run's provenance manifest (NDJSON) to this file")
+	stlOut := fs.String("stl", "", "write the exported binary STL to this file")
+	gcodeOut := fs.String("gcode", "", "write the generated G-code to this file")
+	inspect := fs.Bool("inspect", false, "render a cut-open mid section of the printed part")
 	setWorkers := workersFlag(fs)
 	emitStats := statsFlag(fs)
 	startDebug, finishDebug := debugFlags(fs)
@@ -324,19 +332,52 @@ func cmdManufacture(args []string) error {
 	if err != nil {
 		return err
 	}
-	o := mech.XY
-	if *orient == "xz" {
-		o = mech.XZ
-	}
-	key := core.Key{Resolution: res, Orientation: o, RestoreSphere: *restore}
-	result, err := core.Manufacture(prot, key, printer.DimensionElite())
+	o, err := mech.ParseOrientation(*orient)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("manufactured under key %v\n", key)
+	var prof printer.Profile
+	switch *printerName {
+	case "fdm":
+		prof = printer.DimensionElite()
+	case "polyjet":
+		prof = printer.Objet30Pro()
+	default:
+		return fmt.Errorf("unknown printer %q (want fdm or polyjet)", *printerName)
+	}
+	key := core.Key{Resolution: res, Orientation: o, RestoreSphere: *restore}
+	result, err := core.ManufactureMemoCtx(context.Background(), prot, key, prof, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("manufactured under key %v on %s\n", key, prof.Name)
 	fmt.Printf("grade: %s\n", result.Quality.Grade)
 	for _, n := range result.Quality.Notes {
 		fmt.Printf("  - %s\n", n)
+	}
+	if *stlOut != "" {
+		if err := os.WriteFile(*stlOut, result.Run.STLBytes, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("STL written to %s\n", *stlOut)
+	}
+	if *gcodeOut != "" {
+		data, err := gcode.Marshal(result.Run.GCode)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*gcodeOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("G-code written to %s\n", *gcodeOut)
+	}
+	if *inspect {
+		g := result.Run.Build.Grid
+		section, err := g.SectionASCII(voxel.AxisY, g.NY/2, 100)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("cut-open mid section (x-z plane at y midplane; '#' model, 's' support):\n%s", section)
 	}
 	if *manifestOut != "" {
 		prov := core.NewProvenance(result, nil, 0)
@@ -381,7 +422,7 @@ func cmdMatrix(args []string) error {
 	if err != nil {
 		return err
 	}
-	entries, err := core.QualityMatrix(prot, printer.DimensionElite())
+	entries, err := core.QualityMatrixWorkers(prot, printer.DimensionElite(), 0)
 	// A partial matrix is still worth showing: render whatever completed
 	// before reporting the aggregated per-key error.
 	if len(entries) > 0 {
@@ -459,7 +500,6 @@ func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	withSphere := fs.Bool("with-sphere", false, "embed the sphere feature too (doubles the key space)")
 	format := fs.String("format", "json", "output format: text (human tables) or json (machine-readable snapshot)")
-	table := fs.Bool("table", false, "deprecated alias for -format text")
 	cluster := fs.String("cluster", "", "render the federated metrics of the router at this base URL instead of running locally")
 	setWorkers := workersFlag(fs)
 	startDebug, finishDebug := debugFlags(fs)
@@ -467,9 +507,6 @@ func cmdStats(args []string) error {
 		return err
 	}
 	setWorkers()
-	if *table {
-		*format = "text"
-	}
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("stats: unknown -format %q (want text or json)", *format)
 	}
@@ -485,7 +522,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := core.QualityMatrix(prot, printer.DimensionElite()); err != nil {
+	if _, err := core.QualityMatrixWorkers(prot, printer.DimensionElite(), 0); err != nil {
 		return err
 	}
 	snap := obs.Default().Snapshot()

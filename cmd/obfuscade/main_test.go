@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"obfuscade/internal/core"
@@ -59,6 +60,36 @@ func TestLoadManifestErrors(t *testing.T) {
 	if _, err := loadManifest(bad); err == nil {
 		t.Error("expected error for malformed manifest")
 	}
+	// An unknown key orientation must fail, never load as x-y.
+	prot, err := core.NewProtectedBar("bar", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	if err := saveManifest(path, prot.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, orient := range []string{"sideways", "y-z", ""} {
+		raw["key_orientation"] = orient
+		edited, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edited, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadManifest(path); err == nil || !strings.Contains(err.Error(), "unknown orientation") {
+			t.Errorf("key_orientation %q: got error %v, want an unknown-orientation error", orient, err)
+		}
+	}
 }
 
 func TestProtectManufactureSubcommands(t *testing.T) {
@@ -95,13 +126,68 @@ func TestProtectManufactureSubcommands(t *testing.T) {
 	}
 }
 
-func TestKeyspaceSubcommand(t *testing.T) {
+// protectTo writes the reference protected design and its manifest into
+// a fresh directory and returns their paths.
+func protectTo(t *testing.T) (cad, man string) {
+	t.Helper()
 	dir := t.TempDir()
-	cad := filepath.Join(dir, "design.ocad")
-	man := filepath.Join(dir, "manifest.json")
+	cad = filepath.Join(dir, "design.ocad")
+	man = filepath.Join(dir, "manifest.json")
 	if err := cmdProtect([]string{"-out", cad, "-manifest", man}); err != nil {
 		t.Fatal(err)
 	}
+	return cad, man
+}
+
+func TestManufactureWritesArtifacts(t *testing.T) {
+	cad, man := protectTo(t)
+	dir := filepath.Dir(cad)
+	stlPath := filepath.Join(dir, "out.stl")
+	gcodePath := filepath.Join(dir, "out.gcode")
+	if err := cmdManufacture([]string{"-in", cad, "-manifest", man, "-orient", "x-z",
+		"-printer", "fdm", "-stl", stlPath, "-gcode", gcodePath, "-inspect"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{stlPath, gcodePath} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("missing artifact %s: %v", p, err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("empty artifact %s", p)
+		}
+	}
+	data, err := os.ReadFile(stlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stl.Unmarshal(data); err != nil {
+		t.Errorf("written STL does not decode: %v", err)
+	}
+}
+
+func TestManufactureBadArguments(t *testing.T) {
+	cad, man := protectTo(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-res", "ultra"}, "unknown resolution"},
+		{[]string{"-orient", "bogus"}, "unknown orientation"},
+		{[]string{"-orient", "y-z"}, "unknown orientation"},
+		{[]string{"-printer", "sls"}, "unknown printer"},
+		{[]string{"-in", "/nonexistent/file.ocad"}, "no such file"},
+	} {
+		args := append([]string{"-in", cad, "-manifest", man}, tc.args...)
+		err := cmdManufacture(args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("manufacture %v: got error %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestKeyspaceSubcommand(t *testing.T) {
+	cad, man := protectTo(t)
 	// -stats rides along: the run must succeed and print the metrics
 	// tables without disturbing the keyspace output.
 	if err := cmdKeyspace([]string{"-in", cad, "-manifest", man, "-stats"}); err != nil {
@@ -110,8 +196,8 @@ func TestKeyspaceSubcommand(t *testing.T) {
 }
 
 func TestStatsSubcommand(t *testing.T) {
-	// JSON (default) and table forms both run a full matrix pass; capture
-	// stdout to check the JSON parses and names the expected counters.
+	// The default JSON form runs a full matrix pass; capture stdout to
+	// check the JSON parses and names the expected counters.
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -146,10 +232,6 @@ func TestStatsSubcommand(t *testing.T) {
 	}
 	if found["slicer.layers.sliced"] == 0 {
 		t.Error("slicer.layers.sliced missing from stats output")
-	}
-
-	if err := cmdStats([]string{"-table"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

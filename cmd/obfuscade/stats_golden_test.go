@@ -60,9 +60,9 @@ func TestStatsTextGolden(t *testing.T) {
 	}
 }
 
-// TestStatsFormatFlag covers the -format dispatch: text matches the
-// deprecated -table output, json stays the default, and unknown values
-// error before any work runs.
+// TestStatsFormatFlag covers the -format dispatch: text renders the
+// human tables, json emits the snapshot, and unknown values error
+// before any work runs.
 func TestStatsFormatFlag(t *testing.T) {
 	capture := func(args []string) (string, error) {
 		old := os.Stdout

@@ -12,9 +12,9 @@
 // experiments finish. -debug-addr serves the unified debug surface
 // (/metrics in Prometheus text format, /metrics.json, /trace as a
 // Chrome trace download, /trace.ndjson, and /debug/pprof) for the
-// duration of the run; -pprof is a deprecated alias. The bind happens
-// synchronously before any experiment runs — a bad address or occupied
-// port aborts with exit code 4 instead of silently continuing.
+// duration of the run. The bind happens synchronously before any
+// experiment runs — a bad address or occupied port aborts with exit
+// code 4 instead of silently continuing.
 //
 // -trace-out writes the run's trace ring buffer as Chrome trace JSON
 // (loadable in Perfetto / chrome://tracing) on exit. -cpuprofile and
@@ -76,7 +76,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for parallel stages (0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print per-stage pipeline metrics after the run")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -debug-addr")
 	traceOut := flag.String("trace-out", "", "write the run's Chrome trace JSON to this file on exit")
 	manifestOut := flag.String("manifest-out", "", "write per-key provenance manifests (NDJSON) for -exp matrix to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -92,8 +91,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if addr := firstNonEmpty(*debugAddr, *pprofAddr); addr != "" {
-		srv, err := trace.StartDebugServer(addr, obs.Default(), trace.Default())
+	if *debugAddr != "" {
+		srv, err := trace.StartDebugServer(*debugAddr, obs.Default(), trace.Default())
 		if err != nil {
 			// A debug surface the operator asked for but cannot reach is a
 			// silent observability hole; fail loudly with a distinct code.
@@ -167,15 +166,6 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 		}
 		f.Close()
 	}, nil
-}
-
-func firstNonEmpty(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
 }
 
 // writeTrace dumps the default recorder's ring buffer as Chrome trace
@@ -423,7 +413,7 @@ func runMatrix(seed int64, manifestOut string, emit func(*report.Table)) error {
 	if err != nil {
 		return err
 	}
-	entries, err := core.QualityMatrix(prot, printer.DimensionElite())
+	entries, err := core.QualityMatrixWorkers(prot, printer.DimensionElite(), 0)
 	if err != nil {
 		return err
 	}

@@ -133,13 +133,3 @@ func TestDebugServerServesRunMetrics(t *testing.T) {
 		t.Fatalf("/metrics has no obfuscade_ series:\n%s", body)
 	}
 }
-
-// TestFirstNonEmpty covers the -pprof deprecated-alias resolution.
-func TestFirstNonEmpty(t *testing.T) {
-	if got := firstNonEmpty("", "b", "c"); got != "b" {
-		t.Fatalf("firstNonEmpty = %q", got)
-	}
-	if got := firstNonEmpty(); got != "" {
-		t.Fatalf("firstNonEmpty() = %q", got)
-	}
-}

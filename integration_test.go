@@ -2,6 +2,7 @@ package obfuscade_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"obfuscade/internal/brep"
@@ -56,7 +57,7 @@ func TestGoldenFlow(t *testing.T) {
 		if err := validator.Authorize(tk); err != nil {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
-		res, err := core.Manufacture(prot, prot.Manifest.Key, prof)
+		res, err := core.ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, prof, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestGoldenFlow(t *testing.T) {
 	//    without the secret CAD operation.
 	wrongOp := prot.Manifest.Key
 	wrongOp.RestoreSphere = false
-	fake, err := core.Manufacture(prot, wrongOp, prof)
+	fake, err := core.ManufactureMemoCtx(context.Background(), prot, wrongOp, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestGoldenFlow(t *testing.T) {
 	}
 
 	// 6. Destructive sampling of the counterfeit batch also flags it.
-	group, err := mech.TestGroup("sample", mech.Specimen{
+	group, err := mech.TestGroupCtx(context.Background(), "sample", mech.Specimen{
 		Mat:         mech.ABS(mech.XY),
 		SeamPresent: true,
 		SeamQuality: fake.Quality.SeamBondQuality * 0.5, // cavity weakens further
@@ -157,7 +158,7 @@ func TestGCodeChainIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := supplychain.DefaultPipeline()
-	run, err := pl.Execute(part)
+	run, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"obfuscade/internal/brep"
@@ -110,14 +111,15 @@ func evaluateSplit(dims brep.TensileBarDims, amp float64, prof printer.Profile, 
 		},
 	}
 
-	genuine, err := Manufacture(prot, prot.Manifest.Key, prof)
+	genuine, err := ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, prof, nil)
 	if err != nil {
 		return adv, err
 	}
 	adv.GenuineGrade = genuine.Quality.Grade
 	adv.GenuineBond = genuine.Quality.SeamBondQuality
 
-	wrong, err := Manufacture(prot, Key{Resolution: tessellate.Coarse, Orientation: mech.XZ}, prof)
+	wrong, err := ManufactureMemoCtx(context.Background(), prot,
+		Key{Resolution: tessellate.Coarse, Orientation: mech.XZ}, prof, nil)
 	if err != nil {
 		return adv, err
 	}

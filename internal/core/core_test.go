@@ -103,7 +103,7 @@ func TestManufactureCorrectVsWrongKey(t *testing.T) {
 	}
 	prof := printer.DimensionElite()
 
-	good, err := Manufacture(prot, prot.Manifest.Key, prof)
+	good, err := ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestManufactureCorrectVsWrongKey(t *testing.T) {
 
 	wrong := prot.Manifest.Key
 	wrong.RestoreSphere = false
-	bad, err := Manufacture(prot, wrong, prof)
+	bad, err := ManufactureMemoCtx(context.Background(), prot, wrong, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestQualityMatrixSplitBar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := QualityMatrix(prot, printer.DimensionElite())
+	entries, err := QualityMatrixWorkers(prot, printer.DimensionElite(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestQualityMatrixPartialFailure(t *testing.T) {
 	}
 	bad := printer.DimensionElite()
 	bad.LayerHeight = 0 // fails profile validation for every key
-	entries, err := QualityMatrix(prot, bad)
+	entries, err := QualityMatrixWorkers(prot, bad, 0)
 	if err == nil {
 		t.Fatal("expected aggregated error from failing keys")
 	}
@@ -277,7 +277,7 @@ func TestAuthenticateGenuineVsCounterfeit(t *testing.T) {
 	}
 	prof := printer.DimensionElite()
 
-	genuine, err := Manufacture(prot, prot.Manifest.Key, prof)
+	genuine, err := ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestAuthenticateGenuineVsCounterfeit(t *testing.T) {
 	// A counterfeiter prints the stolen file without the CAD op.
 	wrong := prot.Manifest.Key
 	wrong.RestoreSphere = false
-	fake, err := Manufacture(prot, wrong, prof)
+	fake, err := ManufactureMemoCtx(context.Background(), prot, wrong, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestAuthenticateSplitCounterfeit(t *testing.T) {
 	}
 	prof := printer.DimensionElite()
 	wrong := Key{Resolution: tessellate.Coarse, Orientation: mech.XZ}
-	fake, err := Manufacture(prot, wrong, prof)
+	fake, err := ManufactureMemoCtx(context.Background(), prot, wrong, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/mech"
@@ -9,7 +10,7 @@ import (
 func TestDestructiveCheck(t *testing.T) {
 	ref := mech.ABS(mech.XY)
 
-	genuine, err := mech.TestGroup("genuine", mech.Specimen{Mat: ref}, 5, 1)
+	genuine, err := mech.TestGroupCtx(context.Background(), "genuine", mech.Specimen{Mat: ref}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +18,7 @@ func TestDestructiveCheck(t *testing.T) {
 		t.Errorf("intact-quality batch verdict = %v", v)
 	}
 
-	fake, err := mech.TestGroup("fake", mech.Specimen{
+	fake, err := mech.TestGroupCtx(context.Background(), "fake", mech.Specimen{
 		Mat: ref, SeamPresent: true, SeamQuality: 0.35, Kt: 2.6,
 	}, 5, 2)
 	if err != nil {
@@ -29,7 +30,7 @@ func TestDestructiveCheck(t *testing.T) {
 	}
 
 	// Borderline: mildly degraded seam lands in Suspect territory.
-	borderline, err := mech.TestGroup("mild", mech.Specimen{
+	borderline, err := mech.TestGroupCtx(context.Background(), "mild", mech.Specimen{
 		Mat: ref, SeamPresent: true, SeamQuality: 0.85, Kt: 1.8,
 	}, 50, 3)
 	if err != nil {

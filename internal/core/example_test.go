@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,12 +20,12 @@ func Example() {
 	}
 	prof := printer.DimensionElite()
 
-	good, err := core.Manufacture(prot, prot.Manifest.Key, prof)
+	good, err := core.ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, prof, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	wrong := core.Key{Resolution: tessellate.Coarse, Orientation: mech.XZ}
-	bad, err := core.Manufacture(prot, wrong, prof)
+	bad, err := core.ManufactureMemoCtx(context.Background(), prot, wrong, prof, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func ExampleAuthenticate() {
 	prof := printer.DimensionElite()
 	counterfeitKey := prot.Manifest.Key
 	counterfeitKey.RestoreSphere = false
-	fake, err := core.Manufacture(prot, counterfeitKey, prof)
+	fake, err := core.ManufactureMemoCtx(context.Background(), prot, counterfeitKey, prof, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

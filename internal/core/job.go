@@ -81,7 +81,7 @@ func RunJob(ctx context.Context, spec JobSpec, prof printer.Profile) (*JobResult
 	if err != nil {
 		return nil, err
 	}
-	res, err := ManufactureCtx(ctx, prot, spec.Key, prof)
+	res, err := ManufactureMemoCtx(ctx, prot, spec.Key, prof, nil)
 	if err != nil {
 		return nil, err
 	}

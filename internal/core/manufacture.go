@@ -146,26 +146,19 @@ type ManufactureResult struct {
 	Quality QualityReport
 }
 
-// Manufacture applies the key's CAD operation, runs the full process
-// chain under the key's resolution and orientation, and grades the
-// artifact. This is what a manufacturer (legitimate or counterfeit)
-// experiences when printing the protected model.
-func Manufacture(prot *Protected, key Key, prof printer.Profile) (*ManufactureResult, error) {
-	return ManufactureCtx(context.Background(), prot, key, prof)
-}
-
-// ManufactureCtx is Manufacture with trace propagation: the stage span
-// parents to the span carried by ctx (typically a per-key span of the
-// quality matrix) and records the resulting grade once known.
-func ManufactureCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile) (*ManufactureResult, error) {
-	return ManufactureMemoCtx(ctx, prot, key, prof, nil)
-}
-
-// ManufactureMemoCtx is ManufactureCtx with a shared stage memo wired
-// into the process chain. Keys that agree on geometry-determining inputs
-// (CAD bytes, resolution) share tessellation work through mm; nil mm is
-// exactly ManufactureCtx. Outputs are byte-identical either way — the
-// memo trades only time and allocations, never content.
+// ManufactureMemoCtx applies the key's CAD operation, runs the full
+// process chain under the key's resolution and orientation, and grades
+// the artifact. This is what a manufacturer (legitimate or counterfeit)
+// experiences when printing the protected model. The stage span parents
+// to the span carried by ctx (typically a per-key span of the quality
+// matrix) and records the resulting grade once known.
+//
+// mm is an optional stage memo (memo.New) wired into the process chain:
+// keys that agree on geometry-determining inputs (CAD bytes, resolution)
+// share tessellation and z-sweep index work through it, as the quality
+// matrix does. A single job passes nil and builds every stage inline.
+// Outputs are byte-identical either way — the memo trades only time and
+// allocations, never content.
 func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile, mm *cache.Cache) (res *ManufactureResult, err error) {
 	span := stManufacture.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "core.manufacture")

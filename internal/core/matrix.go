@@ -67,24 +67,18 @@ type MatrixEntry struct {
 	Provenance *Provenance
 }
 
-// QualityMatrix manufactures the protected part under every key in the
-// key space and grades each artifact — the paper's central claim
+// QualityMatrixWorkers manufactures the protected part under every key
+// in the key space and grades each artifact — the paper's central claim
 // ("the model should print in high quality only under a specific set of
 // process flow and printing conditions") made measurable.
 //
-// Keys are manufactured concurrently on the default worker pool; entries
-// come back in key order and each key's pipeline is self-contained, so
-// the matrix is byte-identical to a serial run. A failing key does not
-// abort the matrix: its entry carries the error, the remaining keys still
-// manufacture, and the aggregated error lists every failed key in key
-// order.
-func QualityMatrix(prot *Protected, prof printer.Profile) ([]MatrixEntry, error) {
-	return QualityMatrixWorkers(prot, prof, 0)
-}
-
-// QualityMatrixWorkers is QualityMatrix with an explicit worker count
-// (<= 0 means the process default). workers == 1 is the serial baseline
-// the determinism tests compare against.
+// Keys are manufactured concurrently on a pool of workers (<= 0 means
+// the process default); entries come back in key order and each key's
+// pipeline is self-contained, so the matrix is byte-identical to a
+// serial run. workers == 1 is the serial baseline the determinism tests
+// compare against. A failing key does not abort the matrix: its entry
+// carries the error, the remaining keys still manufacture, and the
+// aggregated error lists every failed key in key order.
 func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([]MatrixEntry, error) {
 	span := stMatrix.Start()
 	keys := AllKeys(prot)
@@ -211,7 +205,7 @@ type KeySpaceReport struct {
 // second pass. A partial matrix (failed keys marked per entry) is still
 // analysed and returned alongside the aggregated error.
 func AnalyzeKeySpace(prot *Protected, prof printer.Profile) (KeySpaceReport, []MatrixEntry, error) {
-	entries, err := QualityMatrix(prot, prof)
+	entries, err := QualityMatrixWorkers(prot, prof, 0)
 	return KeySpaceFromEntries(entries), entries, err
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -47,11 +48,11 @@ func ManufactureFromSTL(stlBytes []byte, o mech.Orientation, prof printer.Profil
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = prof.LayerHeight
 	opts.RoadWidth = prof.RoadWidth
-	sliced, err := slicer.Slice(recovered, opts)
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), recovered, opts, nil)
 	if err != nil {
 		return nil, QualityReport{}, fmt.Errorf("core: slice stolen STL: %w", err)
 	}
-	build, err := printer.Print(sliced, prof, printer.Options{})
+	build, err := printer.PrintCtx(context.Background(), sliced, prof, printer.Options{})
 	if err != nil {
 		return nil, QualityReport{}, fmt.Errorf("core: print stolen STL: %w", err)
 	}

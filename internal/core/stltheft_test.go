@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/mech"
@@ -103,7 +104,7 @@ func TestFirmwareTrojanCaughtByWeightCheck(t *testing.T) {
 		Printer:     printer.DimensionElite(),
 		PrintOpts:   printer.Options{ExtrusionTrim: 0.8},
 	}
-	run, err := pl.Execute(part)
+	run, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFirmwareTrojanCaughtByWeightCheck(t *testing.T) {
 	}
 	// Uncompromised build passes.
 	pl.PrintOpts = printer.Options{}
-	clean, err := pl.Execute(part)
+	clean, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,8 @@ func TestDoubleSplitFeature(t *testing.T) {
 	if len(prot.Part.Bodies) != 3 {
 		t.Fatalf("bodies = %d, want 3", len(prot.Part.Bodies))
 	}
-	res, err := Manufacture(prot, Key{Resolution: tessellate.Coarse, Orientation: mech.XZ},
-		printer.DimensionElite())
+	res, err := ManufactureMemoCtx(context.Background(), prot,
+		Key{Resolution: tessellate.Coarse, Orientation: mech.XZ}, printer.DimensionElite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestDoubleSplitFeature(t *testing.T) {
 		t.Errorf("double-split x-z grade = %v", res.Quality.Grade)
 	}
 	// The correct key still prints cleanly.
-	good, err := Manufacture(prot, prot.Manifest.Key, printer.DimensionElite())
+	good, err := ManufactureMemoCtx(context.Background(), prot, prot.Manifest.Key, printer.DimensionElite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

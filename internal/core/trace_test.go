@@ -125,7 +125,7 @@ func TestWriteManifests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := QualityMatrix(prot, printer.DimensionElite())
+	entries, err := QualityMatrixWorkers(prot, printer.DimensionElite(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func runPipeline(split bool, res tessellate.Resolution, o mech.Orientation,
 		return nil, err
 	}
 	pl := supplychain.Pipeline{Resolution: res, Orientation: o, Printer: prof}
-	return pl.Execute(part)
+	return pl.ExecuteCtx(context.Background(), part)
 }
 
 // Table1 regenerates the paper's Table 1 (risks and mitigations per AM
@@ -185,7 +185,7 @@ func Table3() (*report.Table, error) {
 			Printer:     prof,
 			PrintOpts:   printer.Options{KeepSupport: true},
 		}
-		run, err := pl.Execute(p)
+		run, err := pl.ExecuteCtx(context.Background(), p)
 		if err != nil {
 			return "", err
 		}
@@ -221,11 +221,11 @@ func Fig1() (*report.Table, error) {
 		Printer:     printer.DimensionElite(),
 		RunFEA:      true,
 	}
-	run, err := pl.Execute(part)
+	run, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := gcode.Simulate(run.GCode, gcode.DimensionEliteEnvelope())
+	sim, err := gcode.SimulateCtx(context.Background(), run.GCode, gcode.DimensionEliteEnvelope())
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +310,7 @@ func Fig3() (*report.Table, error) {
 			fmt.Sprintf("%d / %d", m.TriangleCount(), stl.BinarySize(m.TriangleCount())))
 	}
 	m, _ := tessellate.Tessellate(part, tessellate.Fine)
-	sliced, err := slicer.Slice(m, slicer.DefaultOptions())
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +353,7 @@ func Fig4() (*report.Series, *report.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sliced, err := slicer.Slice(m, slicer.DefaultOptions())
+		sliced, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -551,7 +551,7 @@ func Fig10() (*report.Table, error) {
 			Resolution: tessellate.Fine, Orientation: mech.XY, Printer: prof,
 			PrintOpts: printer.Options{KeepSupport: true},
 		}
-		run, err := pl.Execute(p)
+		run, err := pl.ExecuteCtx(context.Background(), p)
 		if err != nil {
 			return [5]string{}, err
 		}
@@ -690,7 +690,7 @@ func AblationHealing() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sliced, err := slicer.Slice(m, slicer.DefaultOptions())
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -701,7 +701,7 @@ func AblationHealing() (*report.Table, error) {
 	for _, heal := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
 		prof := printer.DimensionElite()
 		prof.HealFraction = heal
-		b, err := printer.Print(sliced, prof, printer.Options{})
+		b, err := printer.PrintCtx(context.Background(), sliced, prof, printer.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -752,7 +752,7 @@ func AblationAmplitude() (*report.Table, error) {
 				return nil, err
 			}
 			pl := supplychain.Pipeline{Resolution: tessellate.Coarse, Orientation: o, Printer: prof}
-			run, err := pl.Execute(p)
+			run, err := pl.ExecuteCtx(context.Background(), p)
 			if err != nil {
 				return nil, err
 			}
@@ -857,7 +857,7 @@ func AblationMultiSplit() (*report.Table, error) {
 			tc.prot.Manifest.Key,
 			{Resolution: tessellate.Coarse, Orientation: mech.XZ},
 		} {
-			res, err := core.Manufacture(tc.prot, key, prof)
+			res, err := core.ManufactureMemoCtx(context.Background(), tc.prot, key, prof, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -868,7 +868,7 @@ func AblationMultiSplit() (*report.Table, error) {
 				spec.Kt = 2.6
 				spec.ModulusKnockdown = 0.03
 			}
-			g, err := mech.TestGroup("abl", spec, 5, 11)
+			g, err := mech.TestGroupCtx(context.Background(), "abl", spec, 5, 11)
 			if err != nil {
 				return nil, err
 			}
@@ -952,11 +952,11 @@ func NDT() (*report.Table, error) {
 	printIt := func(m *mesh.Mesh) (*printer.Build, error) {
 		opts := slicer.DefaultOptions()
 		opts.LayerHeight = prof.LayerHeight
-		sliced, err := slicer.Slice(m, opts)
+		sliced, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			return nil, err
 		}
-		return printer.Print(sliced, prof, printer.Options{})
+		return printer.PrintCtx(context.Background(), sliced, prof, printer.Options{})
 	}
 
 	t := &report.Table{
@@ -1025,7 +1025,7 @@ func NDT() (*report.Table, error) {
 	// Porosity attack on the G-code, printed from the tampered program.
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = prof.LayerHeight
-	sliced, err := slicer.Slice(designMesh.Clone(), opts)
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), designMesh.Clone(), opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1109,7 +1109,7 @@ func Fig10Sections() (hollow, dense string, err error) {
 		pl := supplychain.Pipeline{
 			Resolution: tessellate.Fine, Orientation: mech.XY, Printer: prof,
 		}
-		run, err := pl.Execute(p)
+		run, err := pl.ExecuteCtx(context.Background(), p)
 		if err != nil {
 			return "", err
 		}

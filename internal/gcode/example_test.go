@@ -1,6 +1,7 @@
 package gcode_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ G1 X10 Y10 E1.98
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := gcode.Simulate(prog, gcode.DimensionEliteEnvelope())
+	rep, err := gcode.SimulateCtx(context.Background(), prog, gcode.DimensionEliteEnvelope())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package gcode
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Native fuzz target: the parser must never panic, and anything it parses
 // must simulate without panicking.
@@ -14,7 +17,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil || len(p.Commands) == 0 {
 			return
 		}
-		if _, err := Simulate(p, DimensionEliteEnvelope()); err != nil {
+		if _, err := SimulateCtx(context.Background(), p, DimensionEliteEnvelope()); err != nil {
 			return
 		}
 	})

@@ -1,6 +1,7 @@
 package gcode
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func boxPaths(t *testing.T) []*slicer.LayerToolpath {
 		mesh.BoxShell("box", "box", geom.V3(10, 10, 0), geom.V3(30, 20, 1)),
 	}}
 	opts := slicer.DefaultOptions()
-	res, err := slicer.Slice(m, opts)
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSimulateReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(prog, DimensionEliteEnvelope())
+	rep, err := SimulateCtx(context.Background(), prog, DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSimulateEnvelopeViolation(t *testing.T) {
 		{Code: "G90"},
 		{Code: "G1", Args: map[string]float64{"X": 500, "Y": 0, "F": 1000}},
 	}}
-	rep, err := Simulate(prog, DimensionEliteEnvelope())
+	rep, err := SimulateCtx(context.Background(), prog, DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSimulateFeedrateViolation(t *testing.T) {
 	prog := &Program{Commands: []Command{
 		{Code: "G1", Args: map[string]float64{"X": 10, "F": 99999}},
 	}}
-	rep, err := Simulate(prog, DimensionEliteEnvelope())
+	rep, err := SimulateCtx(context.Background(), prog, DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSimulateFeedrateViolation(t *testing.T) {
 
 func TestSimulateUnknownCommand(t *testing.T) {
 	prog := &Program{Commands: []Command{{Code: "G999"}}}
-	rep, err := Simulate(prog, DimensionEliteEnvelope())
+	rep, err := SimulateCtx(context.Background(), prog, DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestSimulateUnknownCommand(t *testing.T) {
 }
 
 func TestSimulateEmpty(t *testing.T) {
-	if _, err := Simulate(&Program{}, DimensionEliteEnvelope()); err == nil {
+	if _, err := SimulateCtx(context.Background(), &Program{}, DimensionEliteEnvelope()); err == nil {
 		t.Error("expected error for empty program")
 	}
 }

@@ -1,6 +1,7 @@
 package gcode
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,12 +87,12 @@ func TestSimulateAccelSlowerThanInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := DimensionEliteEnvelope()
-	withAccel, err := Simulate(prog, env)
+	withAccel, err := SimulateCtx(context.Background(), prog, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.Accel = 0
-	instant, err := Simulate(prog, env)
+	instant, err := SimulateCtx(context.Background(), prog, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,16 +92,10 @@ type Report struct {
 // OK reports whether the simulation found no violations.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
-// Simulate executes the program against an envelope, integrating motion
-// and extrusion, and collecting violations instead of stopping — the
-// defender wants the full damage report.
-func Simulate(p *Program, env Envelope) (*Report, error) {
-	return SimulateCtx(context.Background(), p, env)
-}
-
-// SimulateCtx is Simulate with trace propagation: the stage span
-// parents to the span carried by ctx and records the deterministic
-// command count.
+// SimulateCtx executes the program against an envelope, integrating
+// motion and extrusion, and collecting violations instead of stopping —
+// the defender wants the full damage report. The stage span parents to
+// the span carried by ctx and records the deterministic command count.
 func SimulateCtx(ctx context.Context, p *Program, env Envelope) (*Report, error) {
 	if p == nil || len(p.Commands) == 0 {
 		return nil, fmt.Errorf("gcode: empty program")
@@ -301,11 +295,11 @@ func (d DiffReport) Equivalent(tol float64) bool {
 // G-code integrity check a defender runs against a trusted reference
 // before releasing a job to the printer.
 func Compare(a, b *Program, env Envelope) (DiffReport, error) {
-	ra, err := Simulate(a, env)
+	ra, err := SimulateCtx(context.Background(), a, env)
 	if err != nil {
 		return DiffReport{}, err
 	}
-	rb, err := Simulate(b, env)
+	rb, err := SimulateCtx(context.Background(), b, env)
 	if err != nil {
 		return DiffReport{}, err
 	}

@@ -7,6 +7,7 @@
 package inspect
 
 import (
+	"context"
 	"fmt"
 
 	"obfuscade/internal/geom"
@@ -22,7 +23,7 @@ import (
 func VoxelizeMesh(m *mesh.Mesh, cell, cellZ float64) (*voxel.Grid, error) {
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = cellZ
-	sliced, err := slicer.Slice(m, opts)
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("inspect: voxelize: %w", err)
 	}

@@ -1,6 +1,7 @@
 package inspect
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,11 +33,11 @@ func printMesh(t *testing.T, m *mesh.Mesh) *printer.Build {
 	prof := printer.DimensionElite()
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = prof.LayerHeight
-	sliced, err := slicer.Slice(m, opts)
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := printer.Print(sliced, prof, printer.Options{})
+	b, err := printer.PrintCtx(context.Background(), sliced, prof, printer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,20 @@ func (o Orientation) String() string {
 	return "x-y"
 }
 
+// ParseOrientation parses a print orientation: "x-y" or "xy" is XY and
+// "x-z" or "xz" is XZ. Any other string is an error rather than a silent
+// default, so a typo can never manufacture or authenticate under the
+// wrong orientation.
+func ParseOrientation(s string) (Orientation, error) {
+	switch s {
+	case "x-y", "xy":
+		return XY, nil
+	case "x-z", "xz":
+		return XZ, nil
+	}
+	return XY, fmt.Errorf("mech: unknown orientation %q (want x-y, xy, x-z or xz)", s)
+}
+
 // Material is an elastoplastic material law with saturating hardening:
 //
 //	sigma(eps) = E*eps                                  for eps <= yield/E
@@ -363,19 +377,14 @@ type GroupResult struct {
 	Samples                              []Properties
 }
 
-// TestGroup runs n replicate tensile tests with process noise seeded by
-// seed and returns group statistics — one row of the paper's Table 2.
+// TestGroupCtx runs n replicate tensile tests with process noise seeded
+// by seed and returns group statistics — one row of the paper's Table 2.
 // Replicate i draws its noise from an independent RNG stream seeded by
 // splitmix(seed, i), so sample i depends only on (seed, i) — never on the
 // group size, execution order, or which worker ran it — and replicates
 // run on the shared worker pool with output identical to a serial run.
-func TestGroup(name string, s Specimen, n int, seed int64) (GroupResult, error) {
-	return TestGroupCtx(context.Background(), name, s, n, seed)
-}
-
-// TestGroupCtx is TestGroup with trace propagation: the stage span
-// parents to the span carried by ctx and a batch instant records the
-// deterministic replicate count.
+// The stage span parents to the span carried by ctx and a batch instant
+// records the deterministic replicate count.
 func TestGroupCtx(ctx context.Context, name string, s Specimen, n int, seed int64) (res GroupResult, err error) {
 	span := stTestGroup.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "mech.testgroup", trace.A("group", name))
@@ -394,7 +403,7 @@ func TestGroupCtx(ctx context.Context, name string, s Specimen, n int, seed int6
 	}
 	trace.Instant(ctx, "batch", "mech.replicates", trace.A("count", fmt.Sprint(n)))
 	g := GroupResult{Name: name, N: n, Samples: make([]Properties, n)}
-	err = parallel.ForEach(ctx, n, 0, func(i int) error {
+	err = parallel.ForEachCtx(ctx, n, 0, func(_ context.Context, i int) error {
 		rng := rand.New(rand.NewSource(parallel.SplitMix(seed, i)))
 		p, _, err := Test(s, rng)
 		if err != nil {

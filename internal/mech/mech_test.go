@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,7 +190,7 @@ func TestSpecimenValidate(t *testing.T) {
 }
 
 func TestTestGroupStatistics(t *testing.T) {
-	g, err := TestGroup("intact x-y", Specimen{Mat: ABS(XY)}, 5, 42)
+	g, err := TestGroupCtx(context.Background(), "intact x-y", Specimen{Mat: ABS(XY)}, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +204,11 @@ func TestTestGroupStatistics(t *testing.T) {
 		t.Errorf("group mean E = %v", g.Young.Mean)
 	}
 	// Determinism: same seed, same stats.
-	g2, _ := TestGroup("intact x-y", Specimen{Mat: ABS(XY)}, 5, 42)
+	g2, _ := TestGroupCtx(context.Background(), "intact x-y", Specimen{Mat: ABS(XY)}, 5, 42)
 	if g2.Young != g.Young || g2.Toughness != g.Toughness {
 		t.Error("same seed should reproduce identical statistics")
 	}
-	if _, err := TestGroup("bad", Specimen{Mat: ABS(XY)}, 0, 1); err == nil {
+	if _, err := TestGroupCtx(context.Background(), "bad", Specimen{Mat: ABS(XY)}, 0, 1); err == nil {
 		t.Error("expected error for zero replicates")
 	}
 }
@@ -217,11 +218,11 @@ func TestTestGroupStatistics(t *testing.T) {
 // replicate execution schedule-independent.
 func TestTestGroupScheduleIndependent(t *testing.T) {
 	spec := Specimen{Mat: ABS(XY), SeamPresent: true, SeamQuality: 0.35, Kt: 2.6}
-	small, err := TestGroup("g", spec, 3, 42)
+	small, err := TestGroupCtx(context.Background(), "g", spec, 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := TestGroup("g", spec, 8, 42)
+	large, err := TestGroupCtx(context.Background(), "g", spec, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +240,12 @@ func TestTestGroupParallelMatchesSerial(t *testing.T) {
 	defer parallel.SetDefault(0)
 	spec := Specimen{Mat: ABS(XZ), SeamPresent: true, SeamQuality: 0.14, Kt: 2.6}
 	parallel.SetDefault(1)
-	serial, err := TestGroup("g", spec, 16, 7)
+	serial, err := TestGroupCtx(context.Background(), "g", spec, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetDefault(8)
-	par, err := TestGroup("g", spec, 16, 7)
+	par, err := TestGroupCtx(context.Background(), "g", spec, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +288,19 @@ func TestStatString(t *testing.T) {
 func TestOrientationString(t *testing.T) {
 	if XY.String() != "x-y" || XZ.String() != "x-z" {
 		t.Error("Orientation.String misbehaves")
+	}
+}
+
+func TestParseOrientation(t *testing.T) {
+	for s, want := range map[string]Orientation{"x-y": XY, "xy": XY, "x-z": XZ, "xz": XZ} {
+		got, err := ParseOrientation(s)
+		if err != nil || got != want {
+			t.Errorf("ParseOrientation(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "y-z", "bogus", "sideways", "XY", " x-y"} {
+		if _, err := ParseOrientation(s); err == nil {
+			t.Errorf("ParseOrientation(%q) accepted an unknown orientation", s)
+		}
 	}
 }

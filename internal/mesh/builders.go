@@ -113,39 +113,3 @@ func SphereShell(name, body string, center geom.Vec3, radius float64, latSeg, lo
 	}
 	return s
 }
-
-// sphereShellReference is the straightforward per-point implementation,
-// retained as the oracle for SphereShell's bit-identity property test.
-func sphereShellReference(name, body string, center geom.Vec3, radius float64, latSeg, lonSeg int) Shell {
-	if latSeg < 2 {
-		latSeg = 2
-	}
-	if lonSeg < 3 {
-		lonSeg = 3
-	}
-	point := func(i, j int) geom.Vec3 {
-		theta := math.Pi * float64(i) / float64(latSeg) // 0..pi from +Z
-		phi := 2 * math.Pi * float64(j) / float64(lonSeg)
-		return geom.Vec3{
-			X: center.X + radius*math.Sin(theta)*math.Cos(phi),
-			Y: center.Y + radius*math.Sin(theta)*math.Sin(phi),
-			Z: center.Z + radius*math.Cos(theta),
-		}
-	}
-	s := Shell{Name: name, Body: body, Orient: Outward}
-	for i := 0; i < latSeg; i++ {
-		for j := 0; j < lonSeg; j++ {
-			p00 := point(i, j)
-			p01 := point(i, j+1)
-			p10 := point(i+1, j)
-			p11 := point(i+1, j+1)
-			if i > 0 {
-				s.Tris = append(s.Tris, geom.Triangle{A: p00, B: p10, C: p01})
-			}
-			if i < latSeg-1 {
-				s.Tris = append(s.Tris, geom.Triangle{A: p01, B: p10, C: p11})
-			}
-		}
-	}
-	return s
-}

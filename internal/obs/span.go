@@ -46,7 +46,7 @@ func (s Span) End() { s.finish(nil) }
 // EndErr finishes the span, counting an error when err is non-nil. It is
 // designed for use with deferred named returns:
 //
-//	func Slice(...) (res *Result, err error) {
+//	func SliceIndexedCtx(...) (res *Result, err error) {
 //		span := stSlice.Start()
 //		defer func() { span.EndErr(err) }()
 //		...

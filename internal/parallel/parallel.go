@@ -124,25 +124,21 @@ func (l ErrorList) Unwrap() []error {
 	return out
 }
 
-// ForEach runs fn(i) for i in [0, n) on a bounded pool of workers
-// (workers <= 0 means Default()). Every task error is captured; the
-// aggregate is returned as an ErrorList ordered by index, so the result —
-// including the error — is independent of scheduling. Cancelling ctx
-// stops dispatching new tasks; tasks already running finish, and the
-// returned error wraps ctx's error.
+// ForEachCtx runs fn(ctx, i) for i in [0, n) on a bounded pool of
+// workers (workers <= 0 means Default()). Every task error is captured;
+// the aggregate is returned as an ErrorList ordered by index, so the
+// result — including the error — is independent of scheduling.
+// Cancelling ctx stops dispatching new tasks; tasks already running
+// finish, and the returned error wraps ctx's error.
 //
-// fn writes to caller-owned, per-index storage; ForEach guarantees that
-// all such writes happen-before it returns.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return ForEachCtx(ctx, n, workers, func(_ context.Context, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach for context-aware tasks: fn receives a task
-// context derived from ctx and tagged with the worker lane running it
-// (trace.WithWorker), so trace events emitted inside the task carry
-// worker attribution and parent to the caller's span. The lane a task
-// lands on is scheduling-dependent; deterministic work must not branch
-// on it.
+// fn writes to caller-owned, per-index storage; ForEachCtx guarantees
+// that all such writes happen-before it returns.
+//
+// fn receives a task context derived from ctx and tagged with the worker
+// lane running it (trace.WithWorker), so trace events emitted inside the
+// task carry worker attribution and parent to the caller's span. The
+// lane a task lands on is scheduling-dependent; deterministic work must
+// not branch on it.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) (err error) {
 	if n <= 0 {
 		return nil
@@ -250,7 +246,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context
 // slice is always returned so callers can salvage completed work.
 func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(i int) error {
+	err := ForEachCtx(ctx, n, workers, func(_ context.Context, i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

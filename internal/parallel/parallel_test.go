@@ -47,7 +47,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		const n = 100
 		counts := make([]int32, n)
-		err := ForEach(context.Background(), n, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), n, workers, func(_ context.Context, i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -63,7 +63,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("boom") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(context.Context, int) error { return errors.New("boom") }); err != nil {
 		t.Errorf("n=0 should be a no-op, got %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestForEachZeroTasks(t *testing.T) {
 func TestErrorAggregationOrdered(t *testing.T) {
 	sentinel := errors.New("bad key")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(context.Background(), 20, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 20, workers, func(_ context.Context, i int) error {
 			if i%5 == 0 {
 				return fmt.Errorf("index %d: %w", i, sentinel)
 			}
@@ -102,7 +102,7 @@ func TestErrorAggregationOrdered(t *testing.T) {
 
 func TestErrorListDeterministicMessage(t *testing.T) {
 	run := func() string {
-		err := ForEach(context.Background(), 16, 8, func(i int) error {
+		err := ForEachCtx(context.Background(), 16, 8, func(_ context.Context, i int) error {
 			if i%3 == 0 {
 				return fmt.Errorf("f%d", i)
 			}
@@ -121,7 +121,7 @@ func TestErrorListDeterministicMessage(t *testing.T) {
 func TestCancellationStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int32
-	err := ForEach(ctx, 1000, 4, func(i int) error {
+	err := ForEachCtx(ctx, 1000, 4, func(_ context.Context, i int) error {
 		if atomic.AddInt32(&ran, 1) == 1 {
 			cancel()
 		}
@@ -140,7 +140,7 @@ func TestCancellationSerialPath(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int32
-	err := ForEach(ctx, 10, 1, func(i int) error {
+	err := ForEachCtx(ctx, 10, 1, func(_ context.Context, i int) error {
 		atomic.AddInt32(&ran, 1)
 		return nil
 	})
@@ -212,7 +212,7 @@ func TestForEachMetricsWorkerIndependent(t *testing.T) {
 	// determinism contract the CI bench gate relies on.
 	run := func(workers int) (submitted, completed, failed, queueObs, taskObs int64) {
 		obs.Default().Reset()
-		_ = ForEach(context.Background(), 24, workers, func(i int) error {
+		_ = ForEachCtx(context.Background(), 24, workers, func(_ context.Context, i int) error {
 			if i%6 == 0 {
 				return errors.New("boom")
 			}
@@ -246,7 +246,7 @@ func TestForEachMetricsWorkerIndependent(t *testing.T) {
 
 func TestForEachUtilizationGauges(t *testing.T) {
 	obs.Default().Reset()
-	err := ForEach(context.Background(), 8, 2, func(i int) error {
+	err := ForEachCtx(context.Background(), 8, 2, func(_ context.Context, i int) error {
 		time.Sleep(2 * time.Millisecond)
 		return nil
 	})

@@ -11,11 +11,11 @@ import (
 )
 
 // PrintGCode executes a G-code program on the virtual machine, depositing
-// each extruding move as a physical road into a voxel grid. Unlike Print
-// (which deposits slicer regions), this path is driven purely by the
-// program bytes — so G-code tampering (porosity injection, firmware
-// under-extrusion) manifests in the printed artifact exactly as it would
-// on the real machine.
+// each extruding move as a physical road into a voxel grid. Unlike
+// PrintCtx (which deposits slicer regions), this path is driven purely
+// by the program bytes — so G-code tampering (porosity injection,
+// firmware under-extrusion) manifests in the printed artifact exactly as
+// it would on the real machine.
 //
 // Tool selection follows the generator's convention: T0 deposits model
 // material, T1 deposits support material. The grid covers the program's

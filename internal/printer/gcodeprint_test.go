@@ -1,6 +1,7 @@
 package printer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,7 +36,7 @@ func boxProgram(t *testing.T) (*gcode.Program, *slicer.Result, float64) {
 	m := &mesh.Mesh{Shells: []mesh.Shell{
 		mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(w, d, h)),
 	}}
-	sliced, err := slicer.Slice(m, slicer.DefaultOptions())
+	sliced, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPrintGCodeMatchesDesignVolume(t *testing.T) {
 		t.Errorf("gcode-printed volume %v, want ~%v", fromGCode.ModelVolume, design)
 	}
 	// Region-driven and program-driven deposition agree.
-	fromSlices, err := Print(sliced, prof, Options{})
+	fromSlices, err := PrintCtx(context.Background(), sliced, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,15 +182,10 @@ func (b *Build) SeamBetween(a, c string) *SeamRecord {
 	return nil
 }
 
-// Print deposits a sliced model. The slicing layer height should match the
-// profile's; a mismatch is an error (the process chain would re-slice).
-func Print(sliced *slicer.Result, prof Profile, opts Options) (*Build, error) {
-	return PrintCtx(context.Background(), sliced, prof, opts)
-}
-
-// PrintCtx is Print with trace propagation: the stage span parents to
-// the span carried by ctx and a batch instant records the deterministic
-// deposited-layer count.
+// PrintCtx deposits a sliced model. The slicing layer height should match
+// the profile's; a mismatch is an error (the process chain would
+// re-slice). The stage span parents to the span carried by ctx and a
+// batch instant records the deterministic deposited-layer count.
 func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Options) (build *Build, err error) {
 	span := stPrint.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "printer.print")

@@ -1,6 +1,7 @@
 package printer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func sliceMesh(t *testing.T, m *mesh.Mesh, layerHeight float64) *slicer.Result {
 	t.Helper()
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = layerHeight
-	res, err := slicer.Slice(m, opts)
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPrintBoxVolume(t *testing.T) {
 		mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(20, 10, 3.556)),
 	}}
 	sliced := sliceMesh(t, m, prof.LayerHeight)
-	b, err := Print(sliced, prof, Options{})
+	b, err := PrintCtx(context.Background(), sliced, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestPrintLayerHeightMismatch(t *testing.T) {
 		mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(5, 5, 2)),
 	}}
 	sliced := sliceMesh(t, m, 0.25)
-	if _, err := Print(sliced, DimensionElite(), Options{}); err == nil {
+	if _, err := PrintCtx(context.Background(), sliced, DimensionElite(), Options{}); err == nil {
 		t.Error("expected error for layer height mismatch")
 	}
 }
@@ -108,7 +109,7 @@ func TestEmbeddedSpherePrinting(t *testing.T) {
 			t.Fatal(err)
 		}
 		sliced := sliceMesh(t, m, prof.LayerHeight)
-		b, err := Print(sliced, prof, Options{KeepSupport: keepSupport})
+		b, err := PrintCtx(context.Background(), sliced, prof, Options{KeepSupport: keepSupport})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func buildSplitBar(t *testing.T, res tessellate.Resolution, xz bool) *Build {
 	}
 	prof := DimensionElite()
 	sliced := sliceMesh(t, m, prof.LayerHeight)
-	b, err := Print(sliced, prof, Options{})
+	b, err := PrintCtx(context.Background(), sliced, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestIntactBarNoSeams(t *testing.T) {
 	}
 	prof := DimensionElite()
 	sliced := sliceMesh(t, m, prof.LayerHeight)
-	b, err := Print(sliced, prof, Options{})
+	b, err := PrintCtx(context.Background(), sliced, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package printer
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/brep"
@@ -26,11 +27,11 @@ func buildSphereVariant(t *testing.T) (*Build, *slicer.Result) {
 		t.Fatal(err)
 	}
 	opts := slicer.DefaultOptions()
-	res, err := slicer.Slice(m, opts)
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Print(res, DimensionElite(), Options{KeepSupport: true})
+	b, err := PrintCtx(context.Background(), res, DimensionElite(), Options{KeepSupport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestSupportToolpathsWashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := slicer.Slice(m, slicer.DefaultOptions())
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Print(res, DimensionElite(), Options{}) // washed
+	b, err := PrintCtx(context.Background(), res, DimensionElite(), Options{}) // washed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMergeToolpathsDualMaterialGCode(t *testing.T) {
 	if !sawT0 || !sawT1 {
 		t.Errorf("dual-material program tools: T0=%t T1=%t", sawT0, sawT1)
 	}
-	rep, err := gcode.Simulate(prog, gcode.DimensionEliteEnvelope())
+	rep, err := gcode.SimulateCtx(context.Background(), prog, gcode.DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +135,15 @@ func TestExtrusionTrimAndWeightCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := slicer.Slice(m, slicer.DefaultOptions())
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Print(res, DimensionElite(), Options{})
+	clean, err := PrintCtx(context.Background(), res, DimensionElite(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trojaned, err := Print(res, DimensionElite(), Options{ExtrusionTrim: 0.8})
+	trojaned, err := PrintCtx(context.Background(), res, DimensionElite(), Options{ExtrusionTrim: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestExtrusionTrimAndWeightCheck(t *testing.T) {
 	if err := WeightCheck(trojaned, design, 0.1); err == nil {
 		t.Error("trojaned build passed weight check")
 	}
-	if _, err := Print(res, DimensionElite(), Options{ExtrusionTrim: 1.5}); err == nil {
+	if _, err := PrintCtx(context.Background(), res, DimensionElite(), Options{ExtrusionTrim: 1.5}); err == nil {
 		t.Error("expected error for trim > 1")
 	}
 }

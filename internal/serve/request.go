@@ -20,7 +20,8 @@ type Request struct {
 	// Resolution is the STL export preset: coarse, fine or custom.
 	// Default coarse.
 	Resolution string `json:"resolution,omitempty"`
-	// Orientation is the print orientation: x-y or x-z. Default x-y.
+	// Orientation is the print orientation: x-y (or xy) or x-z (or xz),
+	// normalized to the hyphenated form. Default x-y.
 	Orientation string `json:"orientation,omitempty"`
 	// RestoreSphere applies the secret sphere-restore CAD operation.
 	RestoreSphere bool `json:"restore_sphere,omitempty"`
@@ -55,14 +56,14 @@ func (r Request) Normalize() (Request, error) {
 		return r, fmt.Errorf("serve: %w", err)
 	}
 	r.Resolution = res.Name
-	switch r.Orientation {
-	case "":
+	if r.Orientation == "" {
 		r.Orientation = mech.XY.String()
-	case mech.XY.String(), mech.XZ.String():
-	default:
-		return r, fmt.Errorf("serve: unknown orientation %q (want %s or %s)",
-			r.Orientation, mech.XY, mech.XZ)
 	}
+	o, err := mech.ParseOrientation(r.Orientation)
+	if err != nil {
+		return r, fmt.Errorf("serve: %w", err)
+	}
+	r.Orientation = o.String()
 	if r.TimeoutMS < 0 {
 		return r, fmt.Errorf("serve: negative timeout_ms %d", r.TimeoutMS)
 	}
@@ -75,9 +76,9 @@ func (r Request) spec() (core.JobSpec, error) {
 	if err != nil {
 		return core.JobSpec{}, err
 	}
-	o := mech.XY
-	if r.Orientation == mech.XZ.String() {
-		o = mech.XZ
+	o, err := mech.ParseOrientation(r.Orientation)
+	if err != nil {
+		return core.JobSpec{}, err
 	}
 	return core.JobSpec{
 		Part:     r.Part,

@@ -25,11 +25,37 @@ func TestNormalizeDefaultsAndValidation(t *testing.T) {
 		{Part: "teapot"},
 		{Resolution: "ultra"},
 		{Orientation: "y-z"},
+		{Orientation: "bogus"},
+		{Orientation: "sideways"},
 		{TimeoutMS: -1},
 	}
 	for _, r := range bad {
 		if _, err := r.Normalize(); err == nil {
 			t.Fatalf("request %+v must not normalize", r)
+		}
+	}
+	// spec parses the orientation too, so a request that skipped
+	// Normalize cannot silently fall back to x-y.
+	if _, err := (Request{Resolution: "coarse", Orientation: "sideways"}).spec(); err == nil {
+		t.Fatal("spec accepted an unknown orientation")
+	}
+}
+
+func TestNormalizeOrientationAliases(t *testing.T) {
+	for _, pair := range [][2]string{{"xy", "x-y"}, {"xz", "x-z"}} {
+		short, err := Request{Orientation: pair[0], Seed: 3}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		long, err := Request{Orientation: pair[1], Seed: 3}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if short.Orientation != pair[1] {
+			t.Errorf("%q normalized to %q, want %q", pair[0], short.Orientation, pair[1])
+		}
+		if short.CacheKey() != long.CacheKey() {
+			t.Errorf("%q and %q requests have different cache keys", pair[0], pair[1])
 		}
 	}
 }

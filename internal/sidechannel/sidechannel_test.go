@@ -1,6 +1,7 @@
 package sidechannel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func boxPaths(t *testing.T) []*slicer.LayerToolpath {
 	m := &mesh.Mesh{Shells: []mesh.Shell{
 		mesh.BoxShell("box", "box", geom.V3(5, 5, 0), geom.V3(25, 15, 0.5)),
 	}}
-	res, err := slicer.Slice(m, slicer.DefaultOptions())
+	res, err := slicer.SliceIndexedCtx(context.Background(), m, slicer.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package slicer
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/brep"
@@ -46,7 +47,7 @@ func BenchmarkSliceKernelIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Slice(m, opts)
+		res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func BenchmarkSliceKernelNaive(b *testing.B) {
 func benchRasterLayer(b *testing.B) (*Layer, geom.Vec2, geom.Vec2, []string) {
 	b.Helper()
 	m := benchSplitBar(b, tessellate.Fine)
-	res, err := Slice(m, DefaultOptions())
+	res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

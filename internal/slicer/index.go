@@ -28,7 +28,7 @@ var (
 
 // sweepIndex maps every layer to the triangles whose z-extent spans its
 // slicing plane, one bucket list per (shell, layer). It is built once per
-// SliceCtx in O(T + crossings) from the mesh's ZSpans view and is
+// SliceIndexedCtx in O(T + crossings) from the mesh's ZSpans view and is
 // read-only afterwards, so the parallel layer fan-out shares it without
 // locks.
 //
@@ -71,7 +71,7 @@ func layerSpan(zmin, zmax, minZ, h float64, nLayers int) (lo, hi int) {
 // buildSweepIndex builds the per-shell layer buckets for a slice run.
 // The stage span and timing are emitted here — not at the call sites —
 // so the trace census and stage histograms are identical whether the
-// index is built inline by SliceCtx or inside a memo build closure.
+// index is built inline by SliceIndexedCtx or inside a memo build closure.
 func buildSweepIndex(ctx context.Context, m *mesh.Mesh, minZ, layerH float64, nLayers int) *sweepIndex {
 	span := stIndexBuild.Start()
 	defer span.End()
@@ -144,7 +144,7 @@ type Index struct {
 	shellTris []int
 }
 
-// layerCount is the shared layer-grid derivation of SliceCtx and
+// layerCount is the shared layer-grid derivation of SliceIndexedCtx and
 // BuildIndex; the two must agree or an injected index would silently
 // bucket for a different grid.
 func layerCount(bounds geom.AABB, layerH float64) (int, error) {

@@ -91,7 +91,7 @@ func TestSliceIndexedMatchesInline(t *testing.T) {
 	m := &mesh.Mesh{Shells: []mesh.Shell{
 		mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(5, 4, 3)),
 	}}
-	inline, err := SliceCtx(ctx, m, opts)
+	inline, err := SliceIndexedCtx(ctx, m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestChainScratchReuse(t *testing.T) {
 	m := &mesh.Mesh{Shells: []mesh.Shell{
 		mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(5, 4, 1)),
 	}}
-	first, err := Slice(m, DefaultOptions())
+	first, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := Slice(m, DefaultOptions())
+		again, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

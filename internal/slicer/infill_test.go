@@ -1,6 +1,7 @@
 package slicer
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/geom"
@@ -15,7 +16,7 @@ func TestSparseInfillReducesExtrusion(t *testing.T) {
 	for _, density := range []float64{1, 0.5, 0.25} {
 		opts := DefaultOptions()
 		opts.InfillDensity = density
-		res, err := Slice(m, opts)
+		res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ import (
 // parts. They share finishLayer's probe/interface code with the indexed
 // path, so any output difference is attributable to the kernels alone.
 
-// sliceNaive is the serial full-rescan slicer: Slice without the sweep
-// index, the scratch pool, or the worker fan-out.
+// sliceNaive is the serial full-rescan slicer: SliceIndexedCtx without
+// the sweep index, the scratch pool, or the worker fan-out.
 func sliceNaive(m *mesh.Mesh, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

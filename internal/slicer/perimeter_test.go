@@ -1,6 +1,7 @@
 package slicer
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/geom"
@@ -15,7 +16,7 @@ func TestMultiplePerimeters(t *testing.T) {
 	for _, walls := range []int{1, 2, 3} {
 		opts := DefaultOptions()
 		opts.Perimeters = walls
-		res, err := Slice(m, opts)
+		res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func TestPerimetersNarrowRegionFallback(t *testing.T) {
 	}}
 	opts := DefaultOptions()
 	opts.Perimeters = 3
-	res, err := Slice(m, opts)
+	res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

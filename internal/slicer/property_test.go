@@ -1,6 +1,7 @@
 package slicer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,7 +27,7 @@ func TestSliceBoxAreaProperty(t *testing.T) {
 		m := &mesh.Mesh{Shells: []mesh.Shell{
 			mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(w, d, h)),
 		}}
-		res, err := Slice(m, opts)
+		res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestSliceTranslationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	opts := DefaultOptions()
 	base := mesh.BoxShell("box", "box", geom.V3(0, 0, 0), geom.V3(7, 5, 2))
-	ref, err := Slice(&mesh.Mesh{Shells: []mesh.Shell{base}}, opts)
+	ref, err := SliceIndexedCtx(context.Background(), &mesh.Mesh{Shells: []mesh.Shell{base}}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSliceTranslationInvariance(t *testing.T) {
 		m := &mesh.Mesh{Shells: []mesh.Shell{
 			mesh.BoxShell("box", "box", geom.V3(dx, dy, 0), geom.V3(7+dx, 5+dy, 2)),
 		}}
-		moved, err := Slice(m, opts)
+		moved, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestRasterMatchesPointClassification(t *testing.T) {
 	inner.FlipOrientation()
 	inner.Orient = mesh.Inward
 	m := &mesh.Mesh{Shells: []mesh.Shell{outer, inner}}
-	res, err := Slice(m, DefaultOptions())
+	res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestSliceMatchesNaiveRandomMeshes(t *testing.T) {
 		}
 		for _, workers := range []int{1, 8} {
 			parallel.SetDefault(workers)
-			got, err := Slice(m, opts)
+			got, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +188,7 @@ func TestRasterizeMatchesNaiveRandomMeshes(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(parallel.SplitMix(baseSeed, trial)))
 		m := randomBoxMesh(rng)
-		res, err := Slice(m, DefaultOptions())
+		res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestSliceMatchesNaiveSplitBarGolden(t *testing.T) {
 			m := buildSplitBar(t, tessellate.Coarse)
 			tc.orient(m)
 			opts := DefaultOptions()
-			got, err := Slice(m, opts)
+			got, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +280,7 @@ func TestSliceMatchesNaiveSphereVariantsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Slice(m, DefaultOptions())
+			got, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -132,36 +132,18 @@ type Result struct {
 	BodyNames []string
 }
 
-// Slice cuts the mesh into horizontal layers. The mesh must sit at or
-// above z = 0; layers are placed at the mid-height of each slab, the
-// convention of the paper's slicer.
-func Slice(m *mesh.Mesh, opts Options) (*Result, error) {
-	return SliceCtx(context.Background(), m, opts)
-}
-
-// SliceReference runs the retained naive (pre-index) kernels. It is the
-// DeepEqual oracle the indexed kernels are property-tested against, and
-// the sanitizer's proof surface: other packages compare SliceReference
-// output across a transformation to show the transformation is
-// slicing-invariant without depending on the indexed fast path.
-func SliceReference(m *mesh.Mesh, opts Options) (*Result, error) {
-	return sliceNaive(m, opts)
-}
-
-// SliceCtx is Slice with trace propagation: the stage span parents to
+// SliceIndexedCtx cuts the mesh into horizontal layers. The mesh must
+// sit at or above z = 0; layers are placed at the mid-height of each
+// slab, the convention of the paper's slicer. The stage span parents to
 // the span carried by ctx, and the per-layer fan-out emits a batch
 // instant recording the deterministic layer count.
-func SliceCtx(ctx context.Context, m *mesh.Mesh, opts Options) (*Result, error) {
-	return SliceIndexedCtx(ctx, m, opts, nil)
-}
-
-// SliceIndexedCtx is SliceCtx with an optional pre-built z-sweep index
-// (BuildIndex). A nil index is built inline, exactly as SliceCtx always
-// has; an injected index skips the serial build prologue — the whole
-// point of memoizing it across near-duplicate jobs. An injected index
-// that fails the compatibility guard (wrong layer grid or shell shape —
-// a caller bug) is counted on slicer.index.rejected and rebuilt, so a
-// bad injection can cost time but never correctness.
+//
+// ix is an optional pre-built z-sweep index (BuildIndex). A nil index is
+// built inline; an injected index skips the serial build prologue — the
+// whole point of memoizing it across near-duplicate jobs. An injected
+// index that fails the compatibility guard (wrong layer grid or shell
+// shape — a caller bug) is counted on slicer.index.rejected and rebuilt,
+// so a bad injection can cost time but never correctness.
 func SliceIndexedCtx(ctx context.Context, m *mesh.Mesh, opts Options, ix *Index) (res *Result, err error) {
 	span := stSlice.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "slicer.slice")

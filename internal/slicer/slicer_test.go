@@ -59,12 +59,12 @@ func TestSliceParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel.SetDefault(1)
-	serial, err := Slice(m, DefaultOptions())
+	serial, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetDefault(8)
-	par, err := Slice(m, DefaultOptions())
+	par, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSliceParallelMatchesSerial(t *testing.T) {
 func TestSliceBoxLayers(t *testing.T) {
 	m := boxMesh(geom.V3(0, 0, 0), geom.V3(10, 5, 3.2))
 	opts := DefaultOptions()
-	res, err := Slice(m, opts)
+	res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSliceCavityVoid(t *testing.T) {
 	inner.FlipOrientation()
 	inner.Orient = mesh.Inward
 	m := &mesh.Mesh{Shells: []mesh.Shell{outer, inner}}
-	res, err := Slice(m, DefaultOptions())
+	res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSphereVariantsMaterialRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Slice(m, DefaultOptions())
+		res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func orientXZ(m *mesh.Mesh) {
 func TestSplitBarXYAlwaysBridged(t *testing.T) {
 	for _, res := range tessellate.Presets() {
 		m := buildSplitBar(t, res)
-		sliced, err := Slice(m, DefaultOptions())
+		sliced, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestSplitBarXZDiscontinuousAllResolutions(t *testing.T) {
 	for _, res := range tessellate.Presets() {
 		m := buildSplitBar(t, res)
 		orientXZ(m)
-		sliced, err := Slice(m, DefaultOptions())
+		sliced, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestIntactBarNoInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, err := Slice(m, DefaultOptions())
+	sliced, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestIntactBarNoInterfaces(t *testing.T) {
 
 func TestRasterizeBox(t *testing.T) {
 	m := boxMesh(geom.V3(0, 0, 0), geom.V3(10, 5, 1))
-	res, err := Slice(m, DefaultOptions())
+	res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestRasterizeBox(t *testing.T) {
 
 func TestRasterizeErrors(t *testing.T) {
 	m := boxMesh(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
-	res, _ := Slice(m, DefaultOptions())
+	res, _ := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	l := &res.Layers[0]
 	if _, err := l.Rasterize(geom.V2(0, 0), geom.V2(1, 1), 0, nil); err == nil {
 		t.Error("expected error for zero cell")
@@ -331,7 +331,7 @@ func TestRasterizeErrors(t *testing.T) {
 
 func TestToolpathsBox(t *testing.T) {
 	m := boxMesh(geom.V3(0, 0, 0), geom.V3(10, 5, 1))
-	res, err := Slice(m, DefaultOptions())
+	res, err := SliceIndexedCtx(context.Background(), m, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestMoveRoleString(t *testing.T) {
 }
 
 func TestSliceEmptyMesh(t *testing.T) {
-	if _, err := Slice(&mesh.Mesh{}, DefaultOptions()); err == nil {
+	if _, err := SliceIndexedCtx(context.Background(), &mesh.Mesh{}, DefaultOptions(), nil); err == nil {
 		t.Error("expected error for empty mesh")
 	}
 }
@@ -400,7 +400,7 @@ func TestSliceSTLRoundTripComponents(t *testing.T) {
 		t.Fatalf("components = %d, want 2", len(comps))
 	}
 	m2 := &mesh.Mesh{Shells: comps}
-	sliced, err := Slice(m2, DefaultOptions())
+	sliced, err := SliceIndexedCtx(context.Background(), m2, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestSliceCtxCancellation(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		parallel.SetDefault(workers)
-		res, err := SliceCtx(ctx, m, DefaultOptions())
+		res, err := SliceIndexedCtx(ctx, m, DefaultOptions(), nil)
 		parallel.SetDefault(0)
 		if err == nil {
 			t.Fatalf("workers=%d: cancelled slice succeeded with %d layers",

@@ -173,7 +173,7 @@ func PorosityAttack(p *gcode.Program, n int) error {
 
 // EnvelopeAttack appends a move far outside the build envelope — the
 // actuator-damage attack stopped by the limit-switch mitigation
-// (gcode.Simulate violations).
+// (gcode.SimulateCtx violations).
 func EnvelopeAttack(p *gcode.Program) {
 	p.Commands = append(p.Commands, gcode.Command{
 		Code: "G0",

@@ -43,9 +43,6 @@ type Pipeline struct {
 	Printer printer.Profile
 	// PrintOpts configures the virtual build.
 	PrintOpts printer.Options
-	// SliceOpts overrides slicing options; LayerHeight is always forced
-	// to the printer profile's. Zero value uses defaults.
-	SliceOpts slicer.Options
 	// RunFEA enables the design-stage FEA pass (paper Fig. 3's model
 	// optimisation step); adds runtime.
 	RunFEA bool
@@ -53,7 +50,8 @@ type Pipeline struct {
 	// stage artifacts (tessellated master mesh, slicer z-sweep index) so
 	// near-duplicate keys — same geometry at a different orientation or a
 	// repeated run — share the serial prologue work instead of redoing it.
-	// Nil keeps the reference path; outputs are byte-identical either way.
+	// Nil is the single-job path: every stage builds inline, with no memo
+	// lookups or counters. Outputs are byte-identical either way.
 	Memo *cache.Cache
 }
 
@@ -96,15 +94,11 @@ type Run struct {
 	StageSeconds map[string]float64
 }
 
-// Execute runs the process chain on the part. The part is not modified.
-func (p Pipeline) Execute(part *brep.Part) (*Run, error) {
-	return p.ExecuteCtx(context.Background(), part)
-}
-
-// ExecuteCtx is Execute with trace propagation: each stage span parents
-// to the span carried by ctx (typically a per-key span of the quality
-// matrix) and the per-stage wall times are retained in Run.StageSeconds
-// for the provenance manifest.
+// ExecuteCtx runs the process chain on the part. The part is not
+// modified. Each stage span parents to the span carried by ctx
+// (typically a per-key span of the quality matrix) and the per-stage
+// wall times are retained in Run.StageSeconds for the provenance
+// manifest.
 func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error) {
 	if err := p.Printer.Validate(); err != nil {
 		return nil, err
@@ -145,10 +139,7 @@ func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error)
 	run.STLStats = stl.StatsOf(m)
 	mark("stl")
 
-	sliceOpts := p.SliceOpts
-	if sliceOpts.LayerHeight == 0 && sliceOpts.RoadWidth == 0 {
-		sliceOpts = slicer.DefaultOptions()
-	}
+	sliceOpts := slicer.DefaultOptions()
 	sliceOpts.LayerHeight = p.Printer.LayerHeight
 	sliceOpts.RoadWidth = p.Printer.RoadWidth
 	idx, err := p.sweepIndex(ctx, m, cadBytes, sliceOpts)
@@ -221,7 +212,7 @@ func (p Pipeline) tessellated(ctx context.Context, part *brep.Part, cadBytes []b
 
 // sweepIndex returns the slicer's z-sweep index for the oriented mesh,
 // through the memo when one is wired; without a memo it returns nil and
-// SliceIndexedCtx builds inline — exactly the reference path. The key
+// SliceIndexedCtx builds inline — the single-job path. The key
 // derives from the same content that determined the mesh (CAD bytes,
 // resolution, orientation) plus the layer height, never from the mesh
 // pointer, so a hit can only ever describe identical geometry; the
@@ -301,7 +292,7 @@ func (p Pipeline) TestPrinted(run *Run, name string, n int, seed int64) (mech.Gr
 		spec.Kt = kt
 		spec.ModulusKnockdown = 0.03
 	}
-	return mech.TestGroup(name, spec, n, seed)
+	return mech.TestGroupCtx(context.Background(), name, spec, n, seed)
 }
 
 func firstSeam(b *printer.Build) *printer.SeamRecord {

@@ -1,31 +1,29 @@
-// Supply-chain scenario: walk the cloud-aware AM process chain of paper
-// Fig. 1 while an adversary tampers with each digital artifact, and show
-// how the Table 1 mitigations catch every attack.
-//
-//	go run ./examples/supplychain
-package main
+package supplychain_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
 	"obfuscade/internal/brep"
 	"obfuscade/internal/gcode"
+	"obfuscade/internal/mesh"
 	"obfuscade/internal/stl"
 	"obfuscade/internal/supplychain"
 	"obfuscade/internal/tessellate"
 )
 
-func main() {
-	fmt.Println(supplychain.Table1().Render())
-
+// Walk the process chain of paper Fig. 1 while an adversary tampers with
+// each digital artifact, and show that the Table 1 mitigations catch
+// every attack.
+func Example() {
 	part, err := brep.NewTensileBar("bracket", brep.DefaultTensileBar())
 	if err != nil {
 		log.Fatal(err)
 	}
 	pl := supplychain.DefaultPipeline()
-	run, err := pl.Execute(part)
+	run, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +35,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sealedSTL := signer.Seal("bracket.stl", run.STLBytes)
-	fmt.Printf("sealed STL: digest %s...\n\n", sealedSTL.Digest[:16])
 
 	check := func(name string, attack func() error, detect func() bool) {
 		if err := attack(); err != nil {
@@ -49,15 +46,22 @@ func main() {
 		}
 		fmt.Printf("%-34s -> %s\n", name, status)
 	}
+	tessellated := func() *mesh.Mesh {
+		m, err := tessellate.Tessellate(part, tessellate.Coarse)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return m
+	}
 
 	// 1. STL void attack vs manifold validation.
-	mesh1, _ := tessellate.Tessellate(part, tessellate.Coarse)
+	mesh1 := tessellated()
 	check("STL void injection",
 		func() error { return supplychain.VoidAttack(mesh1, 7) },
 		func() bool { return len(mesh1.Validate(1e-9)) > 0 })
 
 	// 2. STL scaling vs reference diff.
-	ref, _ := tessellate.Tessellate(part, tessellate.Coarse)
+	ref := tessellated()
 	mesh2 := ref.Clone()
 	check("STL dimension scaling (1%)",
 		func() error { return supplychain.ScaleAttack(mesh2, 1.01) },
@@ -85,7 +89,7 @@ func main() {
 	check("actuator-damage coordinates",
 		func() error { supplychain.EnvelopeAttack(prog); return nil },
 		func() bool {
-			rep, err := gcode.Simulate(prog, env)
+			rep, err := gcode.SimulateCtx(context.Background(), prog, env)
 			return err == nil && !rep.OK()
 		})
 
@@ -97,10 +101,14 @@ func main() {
 	check("CAD design Trojan (hidden cavity)",
 		func() error { return supplychain.CADTrojanAttack(trojaned, nil) },
 		func() bool {
-			run2, err := pl.Execute(trojaned)
-			if err != nil {
-				return false
-			}
-			return len(run2.Build.Grid.InternalCavities()) > 0
+			run2, err := pl.ExecuteCtx(context.Background(), trojaned)
+			return err == nil && len(run2.Build.Grid.InternalCavities()) > 0
 		})
+	// Output:
+	// STL void injection                 -> DETECTED
+	// STL dimension scaling (1%)         -> DETECTED
+	// file substitution in transit       -> DETECTED
+	// G-code porosity injection          -> DETECTED
+	// actuator-damage coordinates        -> DETECTED
+	// CAD design Trojan (hidden cavity)  -> DETECTED
 }

@@ -23,12 +23,12 @@ func TestMemoizedPipelineByteIdentical(t *testing.T) {
 	for _, res := range []tessellate.Resolution{tessellate.Coarse, tessellate.Fine} {
 		for _, o := range []mech.Orientation{mech.XY, mech.XZ} {
 			pl := Pipeline{Resolution: res, Orientation: o, Printer: printer.DimensionElite()}
-			ref, err := pl.Execute(part)
+			ref, err := pl.ExecuteCtx(context.Background(), part)
 			if err != nil {
 				t.Fatalf("%s/%v reference: %v", res.Name, o, err)
 			}
 			pl.Memo = mm
-			got, err := pl.Execute(part)
+			got, err := pl.ExecuteCtx(context.Background(), part)
 			if err != nil {
 				t.Fatalf("%s/%v memoized: %v", res.Name, o, err)
 			}
@@ -58,13 +58,13 @@ func TestMemoizedMeshImmutable(t *testing.T) {
 	mm := memo.New(0)
 	pl := Pipeline{Resolution: tessellate.Coarse, Orientation: mech.XZ,
 		Printer: printer.DimensionElite(), Memo: mm}
-	first, err := pl.Execute(part)
+	first, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The XZ path rotated its clone; a reuse of the same tess entry must
 	// still see the unrotated master.
-	again, err := pl.Execute(part)
+	again, err := pl.ExecuteCtx(context.Background(), part)
 	if err != nil {
 		t.Fatal(err)
 	}

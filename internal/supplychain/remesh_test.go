@@ -1,6 +1,7 @@
 package supplychain
 
 import (
+	"context"
 	"testing"
 
 	"obfuscade/internal/brep"
@@ -67,7 +68,7 @@ func TestRemeshAttackAnalysis(t *testing.T) {
 			t.Errorf("cluster %g: remeshed file passed geometry review", cluster)
 		}
 		// 4. The seam still slices as two separate bodies.
-		sliced, err := slicer.Slice(&mesh.Mesh{Shells: comps}, slicer.DefaultOptions())
+		sliced, err := slicer.SliceIndexedCtx(context.Background(), &mesh.Mesh{Shells: comps}, slicer.DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("cluster %g: %v", cluster, err)
 		}

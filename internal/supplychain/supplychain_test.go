@@ -2,6 +2,7 @@ package supplychain
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -182,7 +183,7 @@ func TestSignerSealAndTamper(t *testing.T) {
 
 func TestPipelineExecuteIntactBar(t *testing.T) {
 	pl := DefaultPipeline()
-	run, err := pl.Execute(barPart(t))
+	run, err := pl.ExecuteCtx(context.Background(), barPart(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestPipelineExecuteIntactBar(t *testing.T) {
 		t.Error("intact bar should have no seams")
 	}
 	// G-code simulates cleanly inside the machine envelope.
-	rep, err := gcode.Simulate(run.GCode, gcode.DimensionEliteEnvelope())
+	rep, err := gcode.SimulateCtx(context.Background(), run.GCode, gcode.DimensionEliteEnvelope())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestPipelineExecuteIntactBar(t *testing.T) {
 func TestPipelineXZOrientation(t *testing.T) {
 	pl := DefaultPipeline()
 	pl.Orientation = mech.XZ
-	run, err := pl.Execute(barPart(t))
+	run, err := pl.ExecuteCtx(context.Background(), barPart(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestPipelineXZOrientation(t *testing.T) {
 
 func TestPipelineTestPrintedIntactVsSplit(t *testing.T) {
 	pl := DefaultPipeline()
-	intactRun, err := pl.Execute(barPart(t))
+	intactRun, err := pl.ExecuteCtx(context.Background(), barPart(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestPipelineTestPrintedIntactVsSplit(t *testing.T) {
 	if err := brep.SplitBySpline(split, "bar", s); err != nil {
 		t.Fatal(err)
 	}
-	splitRun, err := pl.Execute(split)
+	splitRun, err := pl.ExecuteCtx(context.Background(), split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestCADTrojanDetectedByCT(t *testing.T) {
 	}
 	pl := DefaultPipeline()
 	pl.Resolution = tessellate.Fine
-	run, err := pl.Execute(p)
+	run, err := pl.ExecuteCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestCADTrojanNoSolidBody(t *testing.T) {
 
 func TestPorosityAndEnvelopeAttacks(t *testing.T) {
 	pl := DefaultPipeline()
-	run, err := pl.Execute(barPart(t))
+	run, err := pl.ExecuteCtx(context.Background(), barPart(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestPorosityAndEnvelopeAttacks(t *testing.T) {
 	}
 	// Envelope: detected by limit-switch simulation.
 	EnvelopeAttack(tampered)
-	rep, err := gcode.Simulate(tampered, env)
+	rep, err := gcode.SimulateCtx(context.Background(), tampered, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,57 +183,3 @@ func tessellateRevolve(r *brep.Revolve, name, bodyName string, res Resolution) (
 	}
 	return shell, nil
 }
-
-// tessellateRevolveReference is the straightforward per-point trig
-// implementation, retained as the oracle for tessellateRevolve's
-// bit-identity property test.
-func tessellateRevolveReference(r *brep.Revolve, name, bodyName string, res Resolution) (mesh.Shell, error) {
-	stations, nTheta, err := revolveStations(r, res)
-	if err != nil {
-		return mesh.Shell{}, err
-	}
-	ringPoint := func(st station, j int) geom.Vec3 {
-		theta := 2 * math.Pi * float64(j) / float64(nTheta)
-		return geom.V3(
-			st.x,
-			r.Axis.X+st.r*math.Cos(theta),
-			r.Axis.Y+st.r*math.Sin(theta),
-		)
-	}
-	shell := mesh.Shell{Name: name, Body: bodyName, Orient: mesh.Outward}
-	for i := 0; i+1 < len(stations); i++ {
-		s0, s1 := stations[i], stations[i+1]
-		if s0.x == s1.x && s0.r == s1.r {
-			continue
-		}
-		for j := 0; j < nTheta; j++ {
-			p00 := ringPoint(s0, j)
-			p01 := ringPoint(s0, j+1)
-			p10 := ringPoint(s1, j)
-			p11 := ringPoint(s1, j+1)
-			shell.Tris = append(shell.Tris,
-				geom.Triangle{A: p00, B: p01, C: p10},
-				geom.Triangle{A: p01, B: p11, C: p10},
-			)
-		}
-	}
-	capFan := func(st station, outwardPlus bool) {
-		centre := geom.V3(st.x, r.Axis.X, r.Axis.Y)
-		for j := 0; j < nTheta; j++ {
-			a := ringPoint(st, j)
-			b := ringPoint(st, j+1)
-			if outwardPlus {
-				shell.Tris = append(shell.Tris, geom.Triangle{A: centre, B: a, C: b})
-			} else {
-				shell.Tris = append(shell.Tris, geom.Triangle{A: centre, B: b, C: a})
-			}
-		}
-	}
-	capFan(stations[0], false)
-	capFan(stations[len(stations)-1], true)
-
-	if len(shell.Tris) == 0 {
-		return mesh.Shell{}, fmt.Errorf("tessellate: empty revolve")
-	}
-	return shell, nil
-}

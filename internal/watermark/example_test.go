@@ -1,10 +1,4 @@
-// Watermark scenario: the IP owner ships each partner an individually
-// marked copy of the design. When a copy leaks to a counterfeiter, the
-// keyed vertex-perturbation mark identifies which partner leaked it —
-// Table 1's "identification codes and marks", with traitor tracing.
-//
-//	go run ./examples/watermark
-package main
+package watermark_test
 
 import (
 	"fmt"
@@ -16,7 +10,10 @@ import (
 	"obfuscade/internal/watermark"
 )
 
-func main() {
+// Ship each partner an individually marked copy of a design, then trace
+// a leaked copy back to the partner who leaked it — Table 1's
+// "identification codes and marks", with traitor tracing.
+func ExampleDetect() {
 	part, err := brep.NewTensileBar("impeller", brep.DefaultTensileBar())
 	if err != nil {
 		log.Fatal(err)
@@ -30,8 +27,7 @@ func main() {
 	copies := map[string][]byte{}
 	for _, name := range partners {
 		marked := original.Clone()
-		n, err := watermark.Embed(marked, []byte(name), watermark.DefaultAmplitude)
-		if err != nil {
+		if _, err := watermark.Embed(marked, []byte(name), watermark.DefaultAmplitude); err != nil {
 			log.Fatal(err)
 		}
 		data, err := stl.Marshal(marked, stl.Binary, part.Name)
@@ -39,8 +35,6 @@ func main() {
 			log.Fatal(err)
 		}
 		copies[name] = data
-		fmt.Printf("shipped %s a copy with %d marked vertices (%d bytes)\n",
-			name, n, len(data))
 	}
 
 	// A counterfeit file surfaces; it is partner-beta's copy.
@@ -48,7 +42,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nforensic analysis of the leaked file:")
 	for _, name := range partners {
 		res, err := watermark.Detect(original, leaked, []byte(name), watermark.DefaultAmplitude)
 		if err != nil {
@@ -58,9 +51,10 @@ func main() {
 		if res.Present() {
 			verdict = "  <-- LEAK SOURCE"
 		}
-		fmt.Printf("  %-14s correlation %5.2f (matched %d/%d vertices)%s\n",
-			name, res.Score, res.Matched, res.Total, verdict)
+		fmt.Printf("%-14s correlation %5.2f%s\n", name, res.Score, verdict)
 	}
-	fmt.Println("\nthe 1 µm marks are below printer resolution and survive STL export;")
-	fmt.Println("combined with ObfusCADe features the design is traceable AND unusable.")
+	// Output:
+	// partner-alpha  correlation -0.03
+	// partner-beta   correlation  1.00  <-- LEAK SOURCE
+	// partner-gamma  correlation  0.07
 }
