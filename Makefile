@@ -22,12 +22,13 @@ race:
 	$(GO) test -race ./...
 
 # Go micro-benchmarks: serial-vs-parallel wall time for the quality
-# matrix and the indexed-vs-naive slicer kernel comparison. The
-# end-to-end benchmark is the harness under bench/ (bash bench/run.sh,
-# see bench/README.md).
+# matrix, the indexed-vs-naive slicer kernels (x-y and x-z split bar) and
+# the x-run-vs-flood-fill cavity check. The end-to-end benchmark is the
+# harness under bench/ (bash bench/run.sh, see bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQualityMatrix' -benchmem -benchtime 2x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSliceKernel|BenchmarkRasterize' -benchmem ./internal/slicer
+	$(GO) test -run '^$$' -bench 'BenchmarkComponents' -benchmem ./internal/voxel
 
 # End-to-end smoke of the job service: boots `obfuscade serve` on a
 # random port in a fresh process, submits two identical + one distinct

@@ -189,6 +189,30 @@ func TestFig10SphereArtifacts(t *testing.T) {
 	}
 }
 
+// The paper's cross-printer claim (§3.1): on the PolyJet profile the
+// spline feature manifests exactly where it does on FDM. Coarse x-y,
+// coarse x-z and custom x-z print it; custom x-y, the key, does not.
+func TestPolyJetReplicationPattern(t *testing.T) {
+	tbl, err := PolyJetReplication()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]string]string{
+		{"coarse", "x-y"}: "yes",
+		{"coarse", "x-z"}: "yes",
+		{"custom", "x-y"}: "no",
+		{"custom", "x-z"}: "yes",
+	}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("PolyJet rows = %d, want %d:\n%s", len(tbl.Rows), len(want), tbl.Render())
+	}
+	for _, r := range tbl.Rows {
+		if got, w := r[4], want[[2]string{r[0], r[1]}]; got != w {
+			t.Errorf("%s %s: feature manifested = %q, want %q", r[0], r[1], got, w)
+		}
+	}
+}
+
 func TestSideChannelLeakage(t *testing.T) {
 	tbl, err := SideChannelLeakage()
 	if err != nil {

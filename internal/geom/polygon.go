@@ -74,9 +74,10 @@ type Bounds2 struct {
 	Min, Max Vec2
 }
 
-// ContainsPoint reports whether q lies inside the closed box. Every point
-// outside the bounding box of a closed loop has winding number zero, which
-// is what makes the box a safe reject test for the winding probes.
+// ContainsPoint reports whether q lies inside the closed box. In exact
+// arithmetic every point outside the bounding box of a closed loop has
+// winding number zero; the slicer's winding probes use the box as their
+// reject test, which in float also settles points an ulp off the loop.
 func (b Bounds2) ContainsPoint(q Vec2) bool {
 	return q.X >= b.Min.X && q.X <= b.Max.X && q.Y >= b.Min.Y && q.Y <= b.Max.Y
 }
@@ -125,19 +126,25 @@ func (p Polygon) WindingNumber(q Vec2) int {
 	w := 0
 	n := len(p)
 	for i := 0; i < n; i++ {
-		a := p[i]
-		b := p[(i+1)%n]
-		if a.Y <= q.Y {
-			if b.Y > q.Y && b.Sub(a).Cross(q.Sub(a)) > 0 {
-				w++
-			}
-		} else {
-			if b.Y <= q.Y && b.Sub(a).Cross(q.Sub(a)) < 0 {
-				w--
-			}
-		}
+		w += WindingStep(p[i], p[(i+1)%n], q)
 	}
 	return w
+}
+
+// WindingStep returns edge a->b's contribution to a winding number around
+// q: +1 for an upward crossing with q on its left, -1 for a downward
+// crossing with q on its right, 0 otherwise. It is nonzero only when
+// min(a.Y, b.Y) <= q.Y < max(a.Y, b.Y), so an index that buckets edges by
+// y-extent can sum it over just the edges whose extent holds q.Y.
+func WindingStep(a, b, q Vec2) int {
+	if a.Y <= q.Y {
+		if b.Y > q.Y && b.Sub(a).Cross(q.Sub(a)) > 0 {
+			return 1
+		}
+	} else if b.Y <= q.Y && b.Sub(a).Cross(q.Sub(a)) < 0 {
+		return -1
+	}
+	return 0
 }
 
 // Contains reports whether q lies strictly inside the polygon under the

@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -131,7 +132,9 @@ func (resultCodec) Decode(data []byte) (cache.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cachedResult{stl: f[0], manifest: f[1], stlSHA: string(f[2]), grade: string(f[3])}, nil
+		// The manifest is copied out of the frame: a finished job keeps
+		// it, and a slice of the frame would pin the STL bytes with it.
+		return &cachedResult{stl: f[0], manifest: bytes.Clone(f[1]), stlSHA: string(f[2]), grade: string(f[3])}, nil
 	case frameSanitize:
 		f, err := splitFields(data[2:], 3)
 		if err != nil {
@@ -193,14 +196,10 @@ func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	mRequests.Inc()
-	key := norm.CacheKey()
-	v, out, err := s.cache.GetOrCompute(ctx, key, func(ctx context.Context) (cache.Value, error) {
-		return s.run(ctx, norm)
-	})
+	r, out, err := s.artifact(ctx, norm)
 	if err != nil {
 		return nil, err
 	}
-	r := v.(*cachedResult)
 	return &Result{
 		Request:   norm,
 		STL:       r.stl,
@@ -209,6 +208,20 @@ func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
 		Grade:     r.grade,
 		Outcome:   out,
 	}, nil
+}
+
+// artifact returns the artifact of a normalized request from the cache:
+// memory, then disk, else a pipeline run coalesced with concurrent
+// identical calls. It counts no serve.requests, so the server can re-read
+// a finished job's artifact without counting a second request.
+func (s *Service) artifact(ctx context.Context, norm Request) (*cachedResult, cache.Outcome, error) {
+	v, out, err := s.cache.GetOrCompute(ctx, norm.CacheKey(), func(ctx context.Context) (cache.Value, error) {
+		return s.run(ctx, norm)
+	})
+	if err != nil {
+		return nil, out, err
+	}
+	return v.(*cachedResult), out, nil
 }
 
 // run executes the pipeline for a normalized request and freezes the

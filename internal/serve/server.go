@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"obfuscade/internal/cache"
 	"obfuscade/internal/cache/diskstore"
 	"obfuscade/internal/obs"
 	"obfuscade/internal/printer"
@@ -89,8 +90,8 @@ const (
 type job struct {
 	id      string
 	req     Request
-	done    chan struct{} // closed when result/err are set
-	result  *Result
+	done    chan struct{} // closed when out/err are set
+	out     *jobOutcome
 	err     error
 	created time.Time
 
@@ -102,6 +103,19 @@ type job struct {
 	traceID    string
 	parentSpan uint64
 	reqID      string
+}
+
+// jobOutcome is what a finished job keeps: what its status, its
+// manifest and the drain's manifest flush need, about 1 KB. The STL bytes
+// stay in the result cache alone, so the finished-job registry holds no
+// artifact outside the cache budget; GET /jobs/{id}/stl reads them back
+// through the cache.
+type jobOutcome struct {
+	outcome  cache.Outcome
+	grade    string
+	stlSHA   string
+	stlBytes int
+	manifest []byte
 }
 
 // jobStatus is the JSON the status endpoints return.
@@ -293,7 +307,7 @@ func (s *Server) flushManifests() error {
 	sort.Slice(done, func(a, b int) bool { return done[a].created.Before(done[b].created) })
 	bw := bufio.NewWriter(s.manifestW)
 	for _, j := range done {
-		bw.Write(j.result.Manifest)
+		bw.Write(j.out.manifest)
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
@@ -396,14 +410,22 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	res, err := s.svc.Do(ctx, j.req)
+	var out *jobOutcome
 	if res != nil {
 		span.SetArg("outcome", res.Outcome.String())
+		out = &jobOutcome{
+			outcome:  res.Outcome,
+			grade:    res.Grade,
+			stlSHA:   res.STLSHA256,
+			stlBytes: len(res.STL),
+			manifest: res.Manifest,
+		}
 	}
 	// End before publishing: a waiter unblocked by close(j.done) must
 	// find the job span already recorded.
 	span.End()
 	s.mu.Lock()
-	j.result, j.err = res, err
+	j.out, j.err = out, err
 	s.inflight--
 	s.completed = append(s.completed, j)
 	s.pruneCompletedLocked()
@@ -467,7 +489,7 @@ func (s *Server) status(j *job) jobStatus {
 		return st
 	}
 	s.mu.Lock()
-	res, err := j.result, j.err
+	out, err := j.out, j.err
 	s.mu.Unlock()
 	if err != nil {
 		st.State = string(stateFailed)
@@ -475,10 +497,10 @@ func (s *Server) status(j *job) jobStatus {
 		return st
 	}
 	st.State = string(stateDone)
-	st.Outcome = res.Outcome.String()
-	st.Grade = res.Grade
-	st.STLSHA256 = res.STLSHA256
-	st.STLBytes = len(res.STL)
+	st.Outcome = out.outcome.String()
+	st.Grade = out.grade
+	st.STLSHA256 = out.stlSHA
+	st.STLBytes = out.stlBytes
 	st.STLURL = "/jobs/" + j.id + "/stl"
 	st.Manifest = "/jobs/" + j.id + "/manifest"
 	return st
@@ -488,10 +510,10 @@ func (s *Server) status(j *job) jobStatus {
 // request's access-log entry.
 func (s *Server) annotateJobOutcome(ctx context.Context, j *job) {
 	s.mu.Lock()
-	res := j.result
+	out := j.out
 	s.mu.Unlock()
-	if res != nil {
-		AnnotateOutcome(ctx, res.Outcome.String())
+	if out != nil {
+		AnnotateOutcome(ctx, out.outcome.String())
 	}
 }
 
@@ -501,13 +523,13 @@ func (s *Server) annotateJobOutcome(ctx context.Context, j *job) {
 // the log alone.
 func (s *Server) annotateBatchItem(ctx context.Context, j *job) {
 	s.mu.Lock()
-	res, err := j.result, j.err
+	out, err := j.out, j.err
 	s.mu.Unlock()
 	switch {
 	case err != nil:
 		AnnotateBatchItem(ctx, "failed")
-	case res != nil:
-		AnnotateBatchItem(ctx, res.Outcome.String())
+	case out != nil:
+		AnnotateBatchItem(ctx, out.outcome.String())
 	}
 }
 
@@ -673,49 +695,66 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 
-// artifact fetches a finished job's result, translating lifecycle into
-// status codes: 404 unknown, 409 still running, 500 failed.
-func (s *Server) artifact(w http.ResponseWriter, r *http.Request) (*Result, bool) {
+// finished fetches a finished job, translating lifecycle into status
+// codes: 404 unknown, 409 still running, 500 failed.
+func (s *Server) finished(w http.ResponseWriter, r *http.Request) (*job, *jobOutcome, bool) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("serve: unknown job"))
-		return nil, false
+		return nil, nil, false
 	}
 	select {
 	case <-j.done:
 	default:
 		writeError(w, http.StatusConflict, errors.New("serve: job still running"))
-		return nil, false
+		return nil, nil, false
 	}
 	s.mu.Lock()
-	res, err := j.result, j.err
+	out, err := j.out, j.err
 	s.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-		return nil, false
+		return nil, nil, false
 	}
-	AnnotateOutcome(r.Context(), res.Outcome.String())
-	return res, true
+	return j, out, true
 }
 
+// handleSTL serves a finished job's STL. The job keeps no bytes, so they
+// come back through the result cache: memory, then disk, else a
+// deterministic re-run of the job under the job's own deadline. The
+// access log records that lookup's outcome. Like GET /sanitize/{id}/stl
+// it is a read, not a request: it counts no serve.requests.
 func (s *Server) handleSTL(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.artifact(w, r)
+	j, _, ok := s.finished(w, r)
 	if !ok {
 		return
 	}
+	ctx := r.Context()
+	if t := s.effectiveTimeout(j.req); t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
+	}
+	res, out, err := s.svc.artifact(ctx, j.req)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	AnnotateOutcome(r.Context(), out.String())
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+res.Request.Part+`.stl"`)
-	w.Header().Set("X-Stl-Sha256", res.STLSHA256)
-	w.Write(res.STL)
+	w.Header().Set("Content-Disposition", `attachment; filename="`+j.req.Part+`.stl"`)
+	w.Header().Set("X-Stl-Sha256", res.stlSHA)
+	w.Write(res.stl)
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.artifact(w, r)
+	_, out, ok := s.finished(w, r)
 	if !ok {
 		return
 	}
+	AnnotateOutcome(r.Context(), out.outcome.String())
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(res.Manifest)
+	w.Write(out.manifest)
 	w.Write([]byte("\n"))
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,19 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("distinct submission: %+v", distinct)
 	}
 
+	// Cache counters surface on /metrics for scrapers. They are checked
+	// before any artifact read: a read is a cache lookup too.
+	metrics, _ := fetch(t, s.URL()+"/metrics")
+	for _, name := range []string{"obfuscade_cache_hits_total", "obfuscade_cache_misses_total"} {
+		if !strings.Contains(string(metrics), name) {
+			t.Fatalf("/metrics missing %s", name)
+		}
+	}
+	st := s.Service().CacheStats()
+	if st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("cache stats = %+v", st)
+	}
+
 	// The STL artifact hashes to the reported digest.
 	stlBytes, resp := fetch(t, s.URL()+first.STLURL)
 	if resp.StatusCode != http.StatusOK {
@@ -112,16 +126,10 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("manifest digest disagrees with job status")
 	}
 
-	// Cache counters surface on /metrics for scrapers.
-	metrics, _ := fetch(t, s.URL()+"/metrics")
-	for _, name := range []string{"obfuscade_cache_hits_total", "obfuscade_cache_misses_total"} {
-		if !strings.Contains(string(metrics), name) {
-			t.Fatalf("/metrics missing %s", name)
-		}
-	}
-	st := s.Service().CacheStats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("cache stats = %+v", st)
+	// The STL read went through the cache as one memory hit: the job
+	// keeps no bytes, and the read ran no pipeline.
+	if st := s.Service().CacheStats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("cache stats after the artifact read = %+v", st)
 	}
 }
 
@@ -426,7 +434,7 @@ func TestAdmissionQueueSheds(t *testing.T) {
 	// Release the slots; admission recovers.
 	s.mu.Lock()
 	for _, j := range hold {
-		j.result, j.err = nil, errors.New("test: abandoned")
+		j.out, j.err = nil, errors.New("test: abandoned")
 		s.inflight--
 		close(j.done)
 	}
@@ -617,6 +625,84 @@ func TestServerRestartWarmFromDisk(t *testing.T) {
 
 // The resultCodec round-trips a cached result bit-exactly through the
 // disk-frame encoding, and rejects malformed frames.
+// The finished-job registry keeps no artifact bytes. Thirty-two
+// custom-resolution jobs run against a 1 MiB memory tier, which holds at
+// most two of their STLs; after a GC the heap must have grown by well
+// under the STL bytes the jobs produced. A registry that kept each job's
+// whole result pinned every STL outside the cache budget. Not parallel:
+// it measures the process heap.
+func TestJobRegistryHoldsNoArtifacts(t *testing.T) {
+	s := startTestServer(t, Options{CacheBytes: 1 << 20})
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	var stlBytes int64
+	for i := 0; i < 32; i++ {
+		st, resp := post(t, s.URL()+"/jobs?wait=1", fmt.Sprintf(`{"seed": %d, "resolution": "custom"}`, 2000+i))
+		if resp.StatusCode != http.StatusOK || st.State != "done" {
+			t.Fatalf("job %d: status %d %+v", i, resp.StatusCode, st)
+		}
+		stlBytes += int64(st.STLBytes)
+	}
+	growth := heap() - before
+	t.Logf("heap growth %d B for %d B of STL", growth, stlBytes)
+	if growth >= stlBytes/4 {
+		t.Fatalf("heap grew %d B over 32 finished jobs with %d B of STL: the registry pins artifacts",
+			growth, stlBytes)
+	}
+}
+
+// On a tiered server an STL read after the memory tier has evicted the
+// artifact comes back from disk, byte-identical, without a pipeline run.
+func TestSTLReadAfterEvictionIsDiskHit(t *testing.T) {
+	s := startTestServer(t, Options{CacheDir: t.TempDir(), CacheBytes: 1})
+	first, resp := post(t, s.URL()+"/jobs?wait=1", `{"seed": 41}`)
+	if resp.StatusCode != http.StatusOK || first.Outcome != "miss" {
+		t.Fatalf("cold job: status %d %+v", resp.StatusCode, first)
+	}
+	// A 1-byte memory tier retains nothing: the artifact lives on disk only.
+	if st := s.Service().CacheStats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("cache stats after the job = %+v", st)
+	}
+	body, resp := fetch(t, s.URL()+first.STLURL)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("STL fetch: %d", resp.StatusCode)
+	}
+	sum := sha256.Sum256(body)
+	if got := hex.EncodeToString(sum[:]); got != first.STLSHA256 || len(body) != first.STLBytes {
+		t.Fatalf("served %d B hashing to %s, job reported %d B hashing to %s",
+			len(body), got, first.STLBytes, first.STLSHA256)
+	}
+	if st := s.Service().CacheStats(); st.DiskHits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats after the read = %+v, want one disk hit and no new miss", st)
+	}
+}
+
+// On a memory-only server whose tier has dropped the artifact, an STL
+// read re-runs the job: a second miss, byte-identical bytes.
+func TestSTLReadAfterEvictionReruns(t *testing.T) {
+	s := startTestServer(t, Options{CacheBytes: 1})
+	first, resp := post(t, s.URL()+"/jobs?wait=1", `{"seed": 42}`)
+	if resp.StatusCode != http.StatusOK || first.Outcome != "miss" {
+		t.Fatalf("cold job: status %d %+v", resp.StatusCode, first)
+	}
+	body, resp := fetch(t, s.URL()+first.STLURL)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("STL fetch: %d", resp.StatusCode)
+	}
+	sum := sha256.Sum256(body)
+	if got := hex.EncodeToString(sum[:]); got != first.STLSHA256 {
+		t.Fatalf("re-run STL hashes to %s, job reported %s", got, first.STLSHA256)
+	}
+	if st := s.Service().CacheStats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("cache stats after the read = %+v, want a second miss", st)
+	}
+}
+
 func TestResultCodecRoundTrip(t *testing.T) {
 	in := &cachedResult{
 		stl:      []byte{0x00, 0x01, 0xff, 0xfe},

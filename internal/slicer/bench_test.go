@@ -11,10 +11,11 @@ import (
 	"obfuscade/internal/tessellate"
 )
 
-// Kernel benchmarks: indexed vs naive on the paper's split tensile bar.
-// Both run on a 1-worker pool so the comparison isolates the kernels from
-// the fan-out; layers/s is the kernel-level view of the benchmark
-// harness's slicer.layers_per_s.
+// Kernel benchmarks: indexed vs naive on the paper's split tensile bar,
+// in both print orientations. The interface probe dominates x-z, where
+// every layer cuts the spline seam. Both run on a 1-worker pool so the
+// comparison isolates the kernels from the fan-out; layers/s is the
+// kernel-level view of the benchmark harness's slicer.layers_per_s.
 //
 //	go test ./internal/slicer -bench 'BenchmarkSliceKernel' -run '^$' -benchmem
 
@@ -38,8 +39,13 @@ func benchSplitBar(b *testing.B, res tessellate.Resolution) *mesh.Mesh {
 	return m
 }
 
-func BenchmarkSliceKernelIndexed(b *testing.B) {
+// benchSliceKernel slices the fine split bar, stood on its edge when xz,
+// with the indexed kernel or the naive reference.
+func benchSliceKernel(b *testing.B, xz, naive bool) {
 	m := benchSplitBar(b, tessellate.Fine)
+	if xz {
+		orientXZ(m)
+	}
 	parallel.SetDefault(1)
 	defer parallel.SetDefault(0)
 	opts := DefaultOptions()
@@ -47,7 +53,13 @@ func BenchmarkSliceKernelIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SliceIndexedCtx(context.Background(), m, opts, nil)
+		var res *Result
+		var err error
+		if naive {
+			res, err = sliceNaive(m, opts)
+		} else {
+			res, err = SliceIndexedCtx(context.Background(), m, opts, nil)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,24 +71,10 @@ func BenchmarkSliceKernelIndexed(b *testing.B) {
 	}
 }
 
-func BenchmarkSliceKernelNaive(b *testing.B) {
-	m := benchSplitBar(b, tessellate.Fine)
-	opts := DefaultOptions()
-	var layers int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sliceNaive(m, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		layers = len(res.Layers)
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(layers*b.N)/sec, "layers/s")
-	}
-}
+func BenchmarkSliceKernelIndexed(b *testing.B)   { benchSliceKernel(b, false, false) }
+func BenchmarkSliceKernelNaive(b *testing.B)     { benchSliceKernel(b, false, true) }
+func BenchmarkSliceKernelIndexedXZ(b *testing.B) { benchSliceKernel(b, true, false) }
+func BenchmarkSliceKernelNaiveXZ(b *testing.B)   { benchSliceKernel(b, true, true) }
 
 // Rasterizer benchmarks on a mid-gauge layer of the split bar; allocs/op
 // is the headline number (the bucketed version reuses pooled scratch).

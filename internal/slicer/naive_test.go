@@ -10,12 +10,12 @@ import (
 )
 
 // This file keeps the pre-index slicer kernels as unexported reference
-// implementations. They are the plain O(layers * triangles) rescan and
-// O(rows * edges) scanline versions the indexed kernels must match
-// byte-for-byte; the equivalence property tests in property_test.go
-// deep-compare the two on randomized meshes and on the paper's golden
-// parts. They share finishLayer's probe/interface code with the indexed
-// path, so any output difference is attributable to the kernels alone.
+// implementations. They are the plain O(layers * triangles) rescan,
+// O(rows * edges) scanline and all-edges interface probe versions the
+// indexed kernels must match byte-for-byte; the equivalence property
+// tests in property_test.go deep-compare the two on randomized meshes and
+// on the paper's golden parts. probe_test.go checks the interface probe's
+// edge index on hand-built layers.
 
 // sliceNaive is the serial full-rescan slicer: SliceIndexedCtx without
 // the sweep index, the scratch pool, or the worker fan-out.
@@ -53,7 +53,6 @@ func sliceNaive(m *mesh.Mesh, opts Options) (*Result, error) {
 			shell := &m.Shells[si]
 			layer.Contours = append(layer.Contours, sliceShellNaive(shell, z, opts)...)
 		}
-		layer.buildProbeIndex()
 		layer.Interfaces = findInterfacesNaive(&layer, opts)
 		res.Layers[i] = layer
 	}

@@ -117,10 +117,6 @@ type Layer struct {
 	Contours []Contour
 	// Interfaces describes where distinct bodies meet in this layer.
 	Interfaces []BodyInterface
-	// probe caches per-contour bounding boxes for the winding and
-	// distance probes. Built by the slicer after the contours assemble;
-	// nil for hand-built layers, which fall back to the unindexed scans.
-	probe *probeIndex
 }
 
 // Result is a sliced model.
@@ -209,7 +205,6 @@ func SliceIndexedCtx(ctx context.Context, m *mesh.Mesh, opts Options, ix *Index)
 			layer.Contours = append(layer.Contours, contours...)
 		}
 		chainScratchPool.Put(sc)
-		layer.buildProbeIndex()
 		layer.Interfaces = findInterfaces(&layer, opts)
 		res.Layers[i] = layer
 		return nil

@@ -1,7 +1,6 @@
 package voxel
 
 import (
-	"sync"
 	"testing"
 
 	"obfuscade/internal/geom"
@@ -48,53 +47,6 @@ func TestReleasedGridPanics(t *testing.T) {
 		}
 	}()
 	g.Set(0, 0, 0, Model)
-}
-
-// The pooled Components scratch must not leak state: repeated calls on
-// the same grid return identical component lists, including under
-// concurrent use from many goroutines (tier-2 runs this with -race).
-func TestComponentsPooledScratch(t *testing.T) {
-	g, err := NewGrid(geom.AABB{Min: geom.V3(0, 0, 0), Max: geom.V3(10, 10, 10)}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Solid block with two internal cavities of different sizes.
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				g.Set(x, y, z, Model)
-			}
-		}
-	}
-	g.Set(2, 2, 2, Empty)
-	g.Set(5, 5, 5, Empty)
-	g.Set(5, 5, 6, Empty)
-
-	want := g.Components(Empty)
-	if len(want) != 2 || want[0].Voxels != 2 || want[1].Voxels != 1 {
-		t.Fatalf("unexpected baseline components: %+v", want)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				got := g.Components(Empty)
-				if len(got) != len(want) {
-					t.Errorf("worker %d: %d components, want %d", w, len(got), len(want))
-					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("worker %d: component %d = %+v, want %+v", w, i, got[i], want[i])
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Clone must allocate independent storage even when drawing from the

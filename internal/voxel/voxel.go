@@ -4,7 +4,9 @@
 package voxel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"obfuscade/internal/geom"
 )
@@ -182,72 +184,105 @@ func (c *Component) BoundsWorld(g *Grid) geom.AABB {
 	}
 }
 
+// xRun is a maximal run of one material along x: voxels x0..x1 of
+// row (y, z).
+type xRun struct {
+	x0, x1, y, z int32
+}
+
 // Components labels the 6-connected components of the given material and
-// returns them sorted by descending size.
+// returns them sorted by descending size (stable: equal sizes keep the
+// order in which a z, y, x scan reaches them).
+//
+// It labels maximal x-runs rather than voxels. Runs are numbered in scan
+// order, and each run is joined by union-find to the runs it overlaps in
+// x in row y-1 and in slab z-1, always under the smaller number. A root
+// is therefore its component's first run, whose first voxel is the first
+// voxel the scan reaches: the seed of the voxel flood fill this replaces.
 func (g *Grid) Components(m Material) []Component {
-	sc := ccScratchPool.Get().(*ccScratch)
-	defer ccScratchPool.Put(sc)
-	visited := sc.getVisited(len(g.cells))
-	var comps []Component
-	stack := sc.stack[:0]
-	defer func() { sc.stack = stack }()
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				i := g.idx(x, y, z)
-				if visited[i] || g.cells[i] != m {
-					continue
+	var runs []xRun
+	var parent []int32                     // union-find forest over runs
+	rowStart := make([]int32, g.NY*g.NZ+1) // row (y, z) holds runs[rowStart[r]:rowStart[r+1]]
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	// join unions every overlapping pair of runs from two rows, each list
+	// sorted by x.
+	join := func(cur, prev int) {
+		i, iEnd := rowStart[cur], rowStart[cur+1]
+		j, jEnd := rowStart[prev], rowStart[prev+1]
+		for i < iEnd && j < jEnd {
+			a, b := &runs[i], &runs[j]
+			if a.x0 <= b.x1 && b.x0 <= a.x1 {
+				ra, rb := find(i), find(j)
+				if ra < rb {
+					parent[rb] = ra
+				} else if rb < ra {
+					parent[ra] = rb
 				}
-				comp := Component{
-					Material: m,
-					MinV:     [3]int{x, y, z},
-					MaxV:     [3]int{x, y, z},
-					Seed:     [3]int{x, y, z},
-				}
-				stack = stack[:0]
-				stack = append(stack, [3]int{x, y, z})
-				visited[i] = true
-				for len(stack) > 0 {
-					v := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					comp.Voxels++
-					for d := 0; d < 3; d++ {
-						if v[d] < comp.MinV[d] {
-							comp.MinV[d] = v[d]
-						}
-						if v[d] > comp.MaxV[d] {
-							comp.MaxV[d] = v[d]
-						}
-					}
-					if v[0] == 0 || v[1] == 0 || v[2] == 0 ||
-						v[0] == g.NX-1 || v[1] == g.NY-1 || v[2] == g.NZ-1 {
-						comp.TouchesBoundary = true
-					}
-					for _, d := range [6][3]int{
-						{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1},
-					} {
-						nx, ny, nz := v[0]+d[0], v[1]+d[1], v[2]+d[2]
-						if !g.In(nx, ny, nz) {
-							continue
-						}
-						ni := g.idx(nx, ny, nz)
-						if visited[ni] || g.cells[ni] != m {
-							continue
-						}
-						visited[ni] = true
-						stack = append(stack, [3]int{nx, ny, nz})
-					}
-				}
-				comps = append(comps, comp)
+			}
+			if a.x1 < b.x1 {
+				i++
+			} else {
+				j++
 			}
 		}
 	}
-	// Sort by descending size (insertion sort; component counts are tiny).
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j].Voxels > comps[j-1].Voxels; j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
+	for z := 0; z < g.NZ; z++ {
+		for y := 0; y < g.NY; y++ {
+			r := z*g.NY + y
+			row := g.cells[r*g.NX : (r+1)*g.NX]
+			for x := 0; x < len(row); x++ {
+				if row[x] != m {
+					continue
+				}
+				x0 := x
+				for x+1 < len(row) && row[x+1] == m {
+					x++
+				}
+				parent = append(parent, int32(len(runs)))
+				runs = append(runs, xRun{x0: int32(x0), x1: int32(x), y: int32(y), z: int32(z)})
+			}
+			rowStart[r+1] = int32(len(runs))
+			if y > 0 {
+				join(r, r-1)
+			}
+			if z > 0 {
+				join(r, r-g.NY)
+			}
 		}
 	}
+
+	var comps []Component
+	label := make([]int32, len(runs)) // per root run: its component index
+	for i := range runs {
+		ru := &runs[i]
+		x0, x1, y, z := int(ru.x0), int(ru.x1), int(ru.y), int(ru.z)
+		var c *Component
+		if root := find(int32(i)); root == int32(i) {
+			label[i] = int32(len(comps))
+			comps = append(comps, Component{
+				Material: m,
+				MinV:     [3]int{x0, y, z},
+				MaxV:     [3]int{x1, y, z},
+				Seed:     [3]int{x0, y, z},
+			})
+			c = &comps[len(comps)-1]
+		} else {
+			c = &comps[label[root]]
+		}
+		c.Voxels += x1 - x0 + 1
+		c.MinV = [3]int{min(c.MinV[0], x0), min(c.MinV[1], y), min(c.MinV[2], z)}
+		c.MaxV = [3]int{max(c.MaxV[0], x1), max(c.MaxV[1], y), max(c.MaxV[2], z)}
+		if x0 == 0 || y == 0 || z == 0 || x1 == g.NX-1 || y == g.NY-1 || z == g.NZ-1 {
+			c.TouchesBoundary = true
+		}
+	}
+	slices.SortStableFunc(comps, func(a, b Component) int { return cmp.Compare(b.Voxels, a.Voxels) })
 	return comps
 }
 

@@ -99,18 +99,20 @@ sha2="$(echo "$r2" | jq -r .stl_sha256)"
 [ -n "$sha1" ] && [ "$sha1" = "$sha2" ] || fail "identical jobs served different digests: $sha1 vs $sha2"
 [ "$(echo "$r1" | jq -r .id)" = "$(echo "$r2" | jq -r .id)" ] || fail "identical jobs got different ids"
 
-# The served STL bytes hash to the reported digest.
-id1="$(echo "$r1" | jq -r .id)"
-curl -sf "$base/jobs/$id1/stl" -o "$workdir/job1.stl"
-served_sha="$(sha256sum "$workdir/job1.stl" | cut -d' ' -f1)"
-[ "$served_sha" = "$sha1" ] || fail "served STL hashes to $served_sha, reported $sha1"
-
-# Fresh process: the cache counters on /metrics are exact.
+# Fresh process: the cache counters on /metrics are exact. They are
+# read before any artifact read, which is a cache lookup too.
 metrics="$(curl -sf "$base/metrics")"
 echo "$metrics" | grep -qx 'obfuscade_cache_hits_total 1' \
     || fail "expected one cache hit:$(echo; echo "$metrics" | grep ^obfuscade_cache)"
 echo "$metrics" | grep -qx 'obfuscade_cache_misses_total 2' \
     || fail "expected two cache misses:$(echo; echo "$metrics" | grep ^obfuscade_cache)"
+
+# The served STL bytes hash to the reported digest. The job keeps no
+# bytes; the read comes back through the result cache.
+id1="$(echo "$r1" | jq -r .id)"
+curl -sf "$base/jobs/$id1/stl" -o "$workdir/job1.stl"
+served_sha="$(sha256sum "$workdir/job1.stl" | cut -d' ' -f1)"
+[ "$served_sha" = "$sha1" ] || fail "served STL hashes to $served_sha, reported $sha1"
 
 # One batch request sweeps a quality matrix: four distinct jobs come
 # back done, in submission order, each with an artifact digest.
