@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race bench cover build test smoke smoke-cluster
+.PHONY: verify race bench cover build test smoke smoke-cluster deadcode
 
 # Tier-1 verify: must stay green on every commit.
 verify: build test
@@ -20,6 +20,13 @@ race:
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
 	$(GO) test -race ./...
+
+# Production code is what the binaries link: build obfuscade, paperbench
+# and the bench harness with inlining off and fail on any non-test
+# function none of them links that scripts/deadcode.allow does not list,
+# or on a stale allow-list entry (scripts/deadcode.go).
+deadcode:
+	$(GO) run scripts/deadcode.go
 
 # Go micro-benchmarks: serial-vs-parallel wall time for the quality
 # matrix, the indexed-vs-naive slicer kernels (x-y and x-z split bar) and

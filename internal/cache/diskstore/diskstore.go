@@ -517,13 +517,6 @@ func (s *Store) Len() int {
 	return len(s.items)
 }
 
-// Bytes returns the resident on-disk byte total (headers included).
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // Stats returns a snapshot of this instance's counters and residency.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

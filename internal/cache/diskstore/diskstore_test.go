@@ -436,3 +436,10 @@ func BenchmarkPutGet(b *testing.B) {
 		}
 	}
 }
+
+// Bytes returns the resident on-disk byte total (headers included).
+func (s *Store) Bytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
+}

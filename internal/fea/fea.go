@@ -53,9 +53,6 @@ func NewModel(nx, ny int, dx, dy, e, nu, thickness float64) (*Model, error) {
 // Width returns the domain extent in x.
 func (m *Model) Width() float64 { return float64(m.NX) * m.DX }
 
-// Height returns the domain extent in y.
-func (m *Model) Height() float64 { return float64(m.NY) * m.DY }
-
 // Active reports whether element (ix, iy) carries material.
 func (m *Model) Active(ix, iy int) bool {
 	if ix < 0 || iy < 0 || ix >= m.NX || iy >= m.NY {

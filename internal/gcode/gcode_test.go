@@ -2,6 +2,7 @@ package gcode
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -53,6 +54,34 @@ func TestGenerateEncodeParseRoundTrip(t *testing.T) {
 	}
 	if !d.Equivalent(1e-3) {
 		t.Errorf("round trip not equivalent: %+v", d)
+	}
+}
+
+// Support-role moves switch to the support tool of the dual-material
+// machine and back, and the program still simulates clean.
+func TestGenerateSupportToolChange(t *testing.T) {
+	paths := boxPaths(t)
+	a, b := geom.V2(12, 12), geom.V2(14, 12)
+	paths[0].Moves = append([]slicer.Move{{From: a, To: b, Role: slicer.Support}}, paths[0].Moves...)
+	prog, err := Generate("dual", paths, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tools []string
+	for _, c := range prog.Commands {
+		if c.Code == "T0" || c.Code == "T1" {
+			tools = append(tools, c.Code)
+		}
+	}
+	if strings.Join(tools, ",") != "T1,T0" {
+		t.Errorf("tool changes = %v, want [T1 T0]", tools)
+	}
+	rep, err := SimulateCtx(context.Background(), prog, DimensionEliteEnvelope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Errorf("dual-material program violations: %v", rep.Violations)
 	}
 }
 
@@ -176,6 +205,53 @@ func TestParseCommentsAndCase(t *testing.T) {
 	if p.Commands[0].Comment != "header only" {
 		t.Errorf("comment = %q", p.Commands[0].Comment)
 	}
+}
+
+// ExtractToolpaths reverses a program back into per-layer toolpaths — the
+// tool-path reverse engineering of ref [20], used both by attackers (IP
+// theft from stolen G-code) and by defenders (validating received G-code
+// against the design intent).
+func ExtractToolpaths(p *Program) ([]*slicer.LayerToolpath, error) {
+	var out []*slicer.LayerToolpath
+	var cur *slicer.LayerToolpath
+	pos := geom.V2(0, 0)
+	z := 0.0
+	e := 0.0
+	for _, c := range p.Commands {
+		switch c.Code {
+		case "G0", "G1":
+			next := pos
+			if v, ok := c.Arg("X"); ok {
+				next.X = v
+			}
+			if v, ok := c.Arg("Y"); ok {
+				next.Y = v
+			}
+			if v, ok := c.Arg("Z"); ok && v != z {
+				z = v
+				cur = &slicer.LayerToolpath{Index: len(out), Z: z}
+				out = append(out, cur)
+			}
+			newE, hasE := c.Arg("E")
+			role := slicer.Travel
+			if hasE && newE > e {
+				role = slicer.Infill // role detail is advisory after reversal
+				e = newE
+			}
+			if cur != nil && !next.Eq(pos, 1e-12) {
+				cur.Moves = append(cur.Moves, slicer.Move{From: pos, To: next, Role: role})
+			}
+			pos = next
+		case "G92":
+			if v, ok := c.Arg("E"); ok {
+				e = v
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("gcode: no layers found")
+	}
+	return out, nil
 }
 
 func TestExtractToolpaths(t *testing.T) {

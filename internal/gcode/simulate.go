@@ -8,7 +8,6 @@ import (
 
 	"obfuscade/internal/geom"
 	"obfuscade/internal/obs"
-	"obfuscade/internal/slicer"
 	"obfuscade/internal/trace"
 )
 
@@ -221,53 +220,6 @@ func RoleBreakdown(p *Program) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// ExtractToolpaths reverses a program back into per-layer toolpaths — the
-// tool-path reverse engineering of ref [20], used both by attackers (IP
-// theft from stolen G-code) and by defenders (validating received G-code
-// against the design intent).
-func ExtractToolpaths(p *Program) ([]*slicer.LayerToolpath, error) {
-	var out []*slicer.LayerToolpath
-	var cur *slicer.LayerToolpath
-	pos := geom.V2(0, 0)
-	z := 0.0
-	e := 0.0
-	for _, c := range p.Commands {
-		switch c.Code {
-		case "G0", "G1":
-			next := pos
-			if v, ok := c.Arg("X"); ok {
-				next.X = v
-			}
-			if v, ok := c.Arg("Y"); ok {
-				next.Y = v
-			}
-			if v, ok := c.Arg("Z"); ok && v != z {
-				z = v
-				cur = &slicer.LayerToolpath{Index: len(out), Z: z}
-				out = append(out, cur)
-			}
-			newE, hasE := c.Arg("E")
-			role := slicer.Travel
-			if hasE && newE > e {
-				role = slicer.Infill // role detail is advisory after reversal
-				e = newE
-			}
-			if cur != nil && !next.Eq(pos, 1e-12) {
-				cur.Moves = append(cur.Moves, slicer.Move{From: pos, To: next, Role: role})
-			}
-			pos = next
-		case "G92":
-			if v, ok := c.Arg("E"); ok {
-				e = v
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("gcode: no layers found")
-	}
-	return out, nil
 }
 
 // DiffReport compares two programs' physical effect.

@@ -6,6 +6,58 @@ import (
 	"testing/quick"
 )
 
+// Identity returns the identity transform.
+func Identity() Mat4 {
+	return Mat4{
+		1, 0, 0, 0,
+		0, 1, 0, 0,
+		0, 0, 1, 0,
+		0, 0, 0, 1,
+	}
+}
+
+// ApplyDir transforms direction d (w = 0), ignoring translation.
+func (m Mat4) ApplyDir(d Vec3) Vec3 {
+	return Vec3{
+		m[0]*d.X + m[1]*d.Y + m[2]*d.Z,
+		m[4]*d.X + m[5]*d.Y + m[6]*d.Z,
+		m[8]*d.X + m[9]*d.Y + m[10]*d.Z,
+	}
+}
+
+// ApplyNormal transforms a normal vector and re-normalises it. For the
+// rigid and uniform-scale transforms used in this repository the inverse
+// transpose equals the linear part up to scale, so this is exact.
+func (m Mat4) ApplyNormal(n Vec3) Vec3 { return m.ApplyDir(n).Normalized() }
+
+// Det returns the determinant of the upper-left 3x3 linear part.
+func (m Mat4) Det3() float64 {
+	return m[0]*(m[5]*m[10]-m[6]*m[9]) -
+		m[1]*(m[4]*m[10]-m[6]*m[8]) +
+		m[2]*(m[4]*m[9]-m[5]*m[8])
+}
+
+// IsRigid reports whether the linear part of m is orthonormal with
+// determinant +1 (rotation + translation only), within tol.
+func (m Mat4) IsRigid(tol float64) bool {
+	cols := [3]Vec3{
+		{m[0], m[4], m[8]},
+		{m[1], m[5], m[9]},
+		{m[2], m[6], m[10]},
+	}
+	for i := 0; i < 3; i++ {
+		if !ApproxEq(cols[i].Len(), 1, tol) {
+			return false
+		}
+		for j := i + 1; j < 3; j++ {
+			if !ApproxEq(cols[i].Dot(cols[j]), 0, tol) {
+				return false
+			}
+		}
+	}
+	return ApproxEq(m.Det3(), 1, tol)
+}
+
 func TestIdentityApply(t *testing.T) {
 	p := V3(1, 2, 3)
 	if got := Identity().Apply(p); !got.Eq(p, 1e-15) {

@@ -47,28 +47,6 @@ func (p Polygon) Perimeter() float64 {
 	return l
 }
 
-// Centroid returns the area centroid of the polygon.
-func (p Polygon) Centroid() Vec2 {
-	var cx, cy, a float64
-	n := len(p)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		cross := p[i].Cross(p[j])
-		cx += (p[i].X + p[j].X) * cross
-		cy += (p[i].Y + p[j].Y) * cross
-		a += cross
-	}
-	if a == 0 {
-		// Degenerate: fall back to vertex average.
-		var s Vec2
-		for _, v := range p {
-			s = s.Add(v)
-		}
-		return s.Scale(1 / float64(len(p)))
-	}
-	return Vec2{cx / (3 * a), cy / (3 * a)}
-}
-
 // Bounds2 is a 2D axis-aligned bounding box.
 type Bounds2 struct {
 	Min, Max Vec2
@@ -120,17 +98,6 @@ func (p Polygon) Bounds() Bounds2 {
 	return b
 }
 
-// WindingNumber returns the winding number of the polygon around point q.
-// Zero means outside for simple polygons.
-func (p Polygon) WindingNumber(q Vec2) int {
-	w := 0
-	n := len(p)
-	for i := 0; i < n; i++ {
-		w += WindingStep(p[i], p[(i+1)%n], q)
-	}
-	return w
-}
-
 // WindingStep returns edge a->b's contribution to a winding number around
 // q: +1 for an upward crossing with q on its left, -1 for a downward
 // crossing with q on its right, 0 otherwise. It is nonzero only when
@@ -145,39 +112,6 @@ func WindingStep(a, b, q Vec2) int {
 		return -1
 	}
 	return 0
-}
-
-// Contains reports whether q lies strictly inside the polygon under the
-// non-zero winding rule.
-func (p Polygon) Contains(q Vec2) bool { return p.WindingNumber(q) != 0 }
-
-// DistToBoundary returns the distance from q to the polygon boundary.
-func (p Polygon) DistToBoundary(q Vec2) float64 {
-	best := math.Inf(1)
-	n := len(p)
-	for i := 0; i < n; i++ {
-		d := (Segment2{p[i], p[(i+1)%n]}).Dist(q)
-		if d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// MinDist returns the minimum distance between the boundaries of p and o.
-func (p Polygon) MinDist(o Polygon) float64 {
-	best := math.Inf(1)
-	for _, v := range p {
-		if d := o.DistToBoundary(v); d < best {
-			best = d
-		}
-	}
-	for _, v := range o {
-		if d := p.DistToBoundary(v); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // Simplify removes consecutive vertices closer than tol and collinear
@@ -278,65 +212,4 @@ func (p Polygon) Inset(d float64) (Polygon, bool) {
 		return nil, false
 	}
 	return out, true
-}
-
-// Translate returns the polygon shifted by d.
-func (p Polygon) Translate(d Vec2) Polygon {
-	out := make(Polygon, len(p))
-	for i, v := range p {
-		out[i] = v.Add(d)
-	}
-	return out
-}
-
-// PolygonSet is a collection of loops forming a region; outer loops wind
-// CCW and holes wind CW by convention, making the non-zero winding rule
-// equivalent to the intuitive filled region.
-type PolygonSet []Polygon
-
-// WindingNumber returns the summed winding number of all loops around q.
-func (s PolygonSet) WindingNumber(q Vec2) int {
-	w := 0
-	for _, p := range s {
-		w += p.WindingNumber(q)
-	}
-	return w
-}
-
-// ContainsNonZero reports whether q is inside the region under the
-// non-zero winding rule.
-func (s PolygonSet) ContainsNonZero(q Vec2) bool { return s.WindingNumber(q) != 0 }
-
-// ContainsEvenOdd reports whether q is inside the region under the
-// even-odd (parity) rule, the rule many slicers apply to raw STL shells.
-func (s PolygonSet) ContainsEvenOdd(q Vec2) bool {
-	crossings := 0
-	for _, p := range s {
-		crossings += p.WindingNumber(q)
-	}
-	// Parity of total winding equals parity of crossings for our loops.
-	return crossings%2 != 0
-}
-
-// Area returns the net signed area of the set (holes subtract).
-func (s PolygonSet) Area() float64 {
-	var a float64
-	for _, p := range s {
-		a += p.SignedArea()
-	}
-	return a
-}
-
-// Bounds returns the bounding box of all loops.
-func (s PolygonSet) Bounds() Bounds2 {
-	inf := math.Inf(1)
-	b := Bounds2{Min: Vec2{inf, inf}, Max: Vec2{-inf, -inf}}
-	for _, p := range s {
-		pb := p.Bounds()
-		b.Min.X = math.Min(b.Min.X, pb.Min.X)
-		b.Min.Y = math.Min(b.Min.Y, pb.Min.Y)
-		b.Max.X = math.Max(b.Max.X, pb.Max.X)
-		b.Max.Y = math.Max(b.Max.Y, pb.Max.Y)
-	}
-	return b
 }

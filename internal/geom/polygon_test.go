@@ -6,6 +6,81 @@ import (
 	"testing/quick"
 )
 
+// Centroid returns the area centroid of the polygon.
+func (p Polygon) Centroid() Vec2 {
+	var cx, cy, a float64
+	n := len(p)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		cross := p[i].Cross(p[j])
+		cx += (p[i].X + p[j].X) * cross
+		cy += (p[i].Y + p[j].Y) * cross
+		a += cross
+	}
+	if a == 0 {
+		// Degenerate: fall back to vertex average.
+		var s Vec2
+		for _, v := range p {
+			s = s.Add(v)
+		}
+		return s.Scale(1 / float64(len(p)))
+	}
+	return Vec2{cx / (3 * a), cy / (3 * a)}
+}
+
+// WindingNumber returns the winding number of the polygon around point q.
+// Zero means outside for simple polygons.
+func (p Polygon) WindingNumber(q Vec2) int {
+	w := 0
+	n := len(p)
+	for i := 0; i < n; i++ {
+		w += WindingStep(p[i], p[(i+1)%n], q)
+	}
+	return w
+}
+
+// Contains reports whether q lies strictly inside the polygon under the
+// non-zero winding rule.
+func (p Polygon) Contains(q Vec2) bool { return p.WindingNumber(q) != 0 }
+
+// Translate returns the polygon shifted by d.
+func (p Polygon) Translate(d Vec2) Polygon {
+	out := make(Polygon, len(p))
+	for i, v := range p {
+		out[i] = v.Add(d)
+	}
+	return out
+}
+
+// DistToBoundary returns the distance from q to the polygon boundary.
+func (p Polygon) DistToBoundary(q Vec2) float64 {
+	best := math.Inf(1)
+	n := len(p)
+	for i := 0; i < n; i++ {
+		d := (Segment2{p[i], p[(i+1)%n]}).Dist(q)
+		if d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// MinDist returns the minimum distance between the boundaries of p and o.
+func (p Polygon) MinDist(o Polygon) float64 {
+	best := math.Inf(1)
+	for _, v := range p {
+		if d := o.DistToBoundary(v); d < best {
+			best = d
+		}
+	}
+	for _, v := range o {
+		if d := p.DistToBoundary(v); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 func square(cx, cy, half float64) Polygon {
 	return Polygon{
 		V2(cx-half, cy-half), V2(cx+half, cy-half),
@@ -52,35 +127,6 @@ func TestWindingNumber(t *testing.T) {
 	}
 	if p.Contains(V2(1.5, 0)) {
 		t.Error("Contains should exclude exterior point")
-	}
-}
-
-func TestPolygonSetFillRules(t *testing.T) {
-	outer := square(0, 0, 2)
-	hole := square(0, 0, 1).Reversed() // CW hole
-	s := PolygonSet{outer, hole}
-	if s.ContainsNonZero(V2(0, 0)) {
-		t.Error("hole interior should be outside (non-zero)")
-	}
-	if !s.ContainsNonZero(V2(1.5, 0)) {
-		t.Error("annulus should be inside (non-zero)")
-	}
-	if got := s.Area(); !ApproxEq(got, 16-4, 1e-12) {
-		t.Errorf("set Area = %v, want 12", got)
-	}
-
-	// Two nested CCW loops (raw STL nested shells): even-odd makes the
-	// inner region hollow even though winding is 2. This is the slicer
-	// behaviour the embedded-sphere feature (§3.2) exploits.
-	nested := PolygonSet{square(0, 0, 2), square(0, 0, 1)}
-	if nested.ContainsEvenOdd(V2(0, 0)) {
-		t.Error("even-odd: doubly-enclosed point should be hollow")
-	}
-	if !nested.ContainsNonZero(V2(0, 0)) {
-		t.Error("non-zero: doubly-enclosed point should be solid")
-	}
-	if !nested.ContainsEvenOdd(V2(1.5, 0)) {
-		t.Error("even-odd: singly-enclosed point should be solid")
 	}
 }
 

@@ -56,12 +56,6 @@ type Segment2 struct {
 	A, B Vec2
 }
 
-// Len returns the segment length.
-func (s Segment2) Len() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment2) Midpoint() Vec2 { return s.A.Lerp(s.B, 0.5) }
-
 // ClosestParam returns the parameter t in [0,1] of the point on s closest
 // to p.
 func (s Segment2) ClosestParam(p Vec2) float64 {
@@ -92,18 +86,6 @@ func (s Segment2) ProperlyIntersects(o Segment2) bool {
 	return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
 		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0))
 }
-
-// Plane is an oriented plane {p : p·Normal = Offset}.
-type Plane struct {
-	Normal Vec3    // unit normal
-	Offset float64 // signed distance of the plane from the origin
-}
-
-// PlaneZ returns a horizontal plane at height z with +Z normal.
-func PlaneZ(z float64) Plane { return Plane{Normal: Vec3{0, 0, 1}, Offset: z} }
-
-// SignedDist returns the signed distance of p from the plane.
-func (pl Plane) SignedDist(p Vec3) float64 { return p.Dot(pl.Normal) - pl.Offset }
 
 // Triangle is a 3D triangle with explicit vertex order (CCW seen from the
 // outward normal side).

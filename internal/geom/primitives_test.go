@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// Plane is an oriented plane {p : p·Normal = Offset}.
+type Plane struct {
+	Normal Vec3    // unit normal
+	Offset float64 // signed distance of the plane from the origin
+}
+
+// PlaneZ returns a horizontal plane at height z with +Z normal.
+func PlaneZ(z float64) Plane { return Plane{Normal: Vec3{0, 0, 1}, Offset: z} }
+
+// SignedDist returns the signed distance of p from the plane.
+func (pl Plane) SignedDist(p Vec3) float64 { return p.Dot(pl.Normal) - pl.Offset }
+
 func TestAABBExtendContains(t *testing.T) {
 	b := EmptyAABB()
 	if !b.IsEmpty() {

@@ -60,9 +60,6 @@ func (a Vec2) Normalized() Vec2 {
 // Perp returns a rotated 90 degrees counter-clockwise.
 func (a Vec2) Perp() Vec2 { return Vec2{-a.Y, a.X} }
 
-// Neg returns -a.
-func (a Vec2) Neg() Vec2 { return Vec2{-a.X, -a.Y} }
-
 // Lerp returns the linear interpolation between a and b at parameter t.
 func (a Vec2) Lerp(b Vec2, t float64) Vec2 {
 	return Vec2{a.X + (b.X-a.X)*t, a.Y + (b.Y-a.Y)*t}
@@ -90,9 +87,6 @@ func (a Vec3) Sub(b Vec3) Vec3 { return Vec3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 
 // Scale returns a scaled by s.
 func (a Vec3) Scale(s float64) Vec3 { return Vec3{a.X * s, a.Y * s, a.Z * s} }
-
-// Mul returns the component-wise product of a and b.
-func (a Vec3) Mul(b Vec3) Vec3 { return Vec3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
 
 // Dot returns the dot product a·b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
@@ -164,12 +158,6 @@ func (a Vec3) Abs() Vec3 {
 // String implements fmt.Stringer.
 func (a Vec3) String() string {
 	return fmt.Sprintf("(%.6g, %.6g, %.6g)", a.X, a.Y, a.Z)
-}
-
-// Angle returns the angle between a and b in radians, in [0, pi].
-func (a Vec3) Angle(b Vec3) float64 {
-	d := a.Normalized().Dot(b.Normalized())
-	return math.Acos(Clamp(d, -1, 1))
 }
 
 // Clamp limits v to the interval [lo, hi].

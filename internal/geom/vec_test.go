@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// Angle returns the angle between a and b in radians, in [0, pi].
+func (a Vec3) Angle(b Vec3) float64 {
+	d := a.Normalized().Dot(b.Normalized())
+	return math.Acos(Clamp(d, -1, 1))
+}
+
 func TestVec2Basics(t *testing.T) {
 	a := V2(3, 4)
 	b := V2(-1, 2)

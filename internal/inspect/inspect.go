@@ -123,22 +123,6 @@ func CTCompare(printed, reference *voxel.Grid) (CTReport, error) {
 	return rep, nil
 }
 
-// BalanceCheck compares the printed part's centre of mass against the
-// reference grid's — a scale-and-pivot inspection that catches
-// off-centre hidden cavities without CT equipment. It returns the shift
-// distance in mm.
-func BalanceCheck(printed, reference *voxel.Grid) (float64, error) {
-	pc, ok := printed.CenterOfMass()
-	if !ok {
-		return 0, fmt.Errorf("inspect: printed part has no material")
-	}
-	rc, ok := reference.CenterOfMass()
-	if !ok {
-		return 0, fmt.Errorf("inspect: reference has no material")
-	}
-	return pc.Dist(rc), nil
-}
-
 // DimensionReport is the metrology comparison of overall dimensions.
 type DimensionReport struct {
 	// Measured is the printed part's bounding size, mm.

@@ -269,75 +269,6 @@ func Test(s Specimen, rng *rand.Rand) (Properties, Curve, error) {
 	return props, cur, nil
 }
 
-// BendSetup is a three-point flexural test fixture (ASTM D790 style).
-type BendSetup struct {
-	// Span is the support span L, mm.
-	Span float64
-	// Width and Depth are the specimen cross-section b and d, mm.
-	Width, Depth float64
-}
-
-// DefaultBendSetup returns a 16:1 span-to-depth D790 fixture for the
-// paper's 3.2 mm thick coupons.
-func DefaultBendSetup() BendSetup {
-	return BendSetup{Span: 51.2, Width: 12.7, Depth: 3.2}
-}
-
-// Validate reports whether the fixture is usable.
-func (b BendSetup) Validate() error {
-	if b.Span <= 0 || b.Width <= 0 || b.Depth <= 0 {
-		return fmt.Errorf("mech: bend setup dimensions must be positive: %+v", b)
-	}
-	if b.Span < 4*b.Depth {
-		return fmt.Errorf("mech: span %g too short for depth %g (shear-dominated)", b.Span, b.Depth)
-	}
-	return nil
-}
-
-// BendProperties are the measured outcomes of a flexural test.
-type BendProperties struct {
-	// FlexuralModulusGPa is the chord modulus from the initial slope.
-	FlexuralModulusGPa float64
-	// FlexuralStrengthMPa is the outer-fibre stress at failure
-	// (including the rectangular-section plastic shape factor).
-	FlexuralStrengthMPa float64
-	// FailureDeflectionMM is the mid-span deflection at fracture.
-	FailureDeflectionMM float64
-}
-
-// BendTest runs a three-point flexural test. The outer fibre of the
-// specimen experiences the highest strain, so the split feature's
-// ductility knockdown maps directly onto the failure deflection:
-// eps_outer = 6 D d / L^2.
-func BendTest(s Specimen, setup BendSetup, rng *rand.Rand) (BendProperties, error) {
-	if err := s.Validate(); err != nil {
-		return BendProperties{}, err
-	}
-	if err := setup.Validate(); err != nil {
-		return BendProperties{}, err
-	}
-	noise := func(sigma float64) float64 {
-		if rng == nil {
-			return 1
-		}
-		return 1 + rng.NormFloat64()*sigma
-	}
-	eMeas := s.Mat.E * (1 - s.ModulusKnockdown) * noise(0.02)
-	efail := s.failureStrain() * noise(0.05)
-	if efail <= 0 {
-		efail = 1e-4
-	}
-	// Plastic section shape factor for a rectangular beam.
-	const shapeFactor = 1.5
-	strength := shapeFactor * s.Mat.Stress(efail) * (eMeas / s.Mat.E) * noise(0.01)
-	deflection := efail * setup.Span * setup.Span / (6 * setup.Depth)
-	return BendProperties{
-		FlexuralModulusGPa:  eMeas / 1000,
-		FlexuralStrengthMPa: strength,
-		FailureDeflectionMM: deflection,
-	}, nil
-}
-
 // FatigueLife estimates the cycles to failure under a cyclic strain
 // amplitude using a Coffin-Manson strain-life law,
 //

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"obfuscade/internal/geom"
 	"obfuscade/internal/obs"
@@ -311,85 +310,6 @@ func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Opt
 		}
 	}
 	return b, nil
-}
-
-// SupportToolpaths derives per-layer support-material toolpaths from the
-// build's support voxels — the white support tool paths of the paper's
-// Fig. 10b. The build must have been printed with Options.KeepSupport;
-// after wash-out there is nothing left to path.
-func (b *Build) SupportToolpaths() []*slicer.LayerToolpath {
-	g := b.Grid
-	var out []*slicer.LayerToolpath
-	for z := 0; z < g.NZ; z++ {
-		lt := &slicer.LayerToolpath{
-			Index: z,
-			Z:     g.Origin.Z + (float64(z)+0.5)*g.CellZ,
-		}
-		for y := 0; y < g.NY; y++ {
-			runStart := -1
-			for x := 0; x <= g.NX; x++ {
-				isSupport := x < g.NX && g.At(x, y, z) == voxel.Support
-				if isSupport && runStart < 0 {
-					runStart = x
-				}
-				if !isSupport && runStart >= 0 {
-					a := g.Center(runStart, y, z)
-					c := g.Center(x-1, y, z)
-					from := geom.V2(a.X, a.Y)
-					to := geom.V2(c.X, c.Y)
-					lt.Moves = append(lt.Moves,
-						slicer.Move{From: from, To: from, Role: slicer.Travel},
-						slicer.Move{From: from, To: to, Role: slicer.Support})
-					runStart = -1
-				}
-			}
-		}
-		if len(lt.Moves) > 0 {
-			out = append(out, lt)
-		}
-	}
-	return out
-}
-
-// MergeToolpathsByLayer interleaves model and support toolpaths layer by
-// layer (support first, as FDM machines deposit the support raster before
-// the model roads it carries), producing the move list a dual-extruder
-// G-code program executes.
-func MergeToolpathsByLayer(model, support []*slicer.LayerToolpath) []*slicer.LayerToolpath {
-	byZ := make(map[int64]*slicer.LayerToolpath)
-	key := func(z float64) int64 { return int64(math.Round(z * 1e4)) }
-	var order []int64
-	add := func(lt *slicer.LayerToolpath, first bool) {
-		k := key(lt.Z)
-		existing, ok := byZ[k]
-		if !ok {
-			cp := &slicer.LayerToolpath{Index: len(order), Z: lt.Z}
-			cp.Moves = append(cp.Moves, lt.Moves...)
-			byZ[k] = cp
-			order = append(order, k)
-			return
-		}
-		if first {
-			existing.Moves = append(append([]slicer.Move{}, lt.Moves...), existing.Moves...)
-		} else {
-			existing.Moves = append(existing.Moves, lt.Moves...)
-		}
-	}
-	for _, lt := range model {
-		add(lt, false)
-	}
-	for _, lt := range support {
-		add(lt, true)
-	}
-	// Order by z.
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]*slicer.LayerToolpath, 0, len(order))
-	for i, k := range order {
-		lt := byZ[k]
-		lt.Index = i
-		out = append(out, lt)
-	}
-	return out
 }
 
 // bondQuality converts interface geometry into an effective relative bond

@@ -181,14 +181,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards http.Flusher so streaming responses keep working
-// through the wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // WithObservability wraps h with the cluster-observability middleware
 // shared by router and shard mode:
 //

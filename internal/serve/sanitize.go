@@ -79,11 +79,12 @@ func ParseSanitizeQuantum(r *http.Request) (float64, error) {
 	return q, nil
 }
 
-// admitSanitize counts a sanitize run against the same admission bound
-// as jobs. It is called inside the cache compute function, so hits,
-// disk hits and coalesced joins are never shed — like job joins, they
+// admitRun counts one compute run — a sanitize, or the pipeline re-run
+// of an evicted job artifact — against the same admission bound as
+// jobs. Callers invoke it inside the cache compute function, so hits,
+// disk hits and coalesced joins are never shed: like job joins, they
 // add no compute load.
-func (s *Server) admitSanitize() error {
+func (s *Server) admitRun() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -97,7 +98,7 @@ func (s *Server) admitSanitize() error {
 	return nil
 }
 
-func (s *Server) releaseSanitize() {
+func (s *Server) releaseRun() {
 	s.mu.Lock()
 	s.inflight--
 	s.mu.Unlock()
@@ -146,10 +147,10 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	ctx, span := trace.StartSpan(r.Context(), "serve", "sanitize", trace.A("key", string(key)))
 	defer span.End()
 	v, out, err := s.svc.cache.GetOrCompute(ctx, key, func(context.Context) (cache.Value, error) {
-		if err := s.admitSanitize(); err != nil {
+		if err := s.admitRun(); err != nil {
 			return nil, err
 		}
-		defer s.releaseSanitize()
+		defer s.releaseRun()
 		return s.runSanitize(body, quantum)
 	})
 	if err != nil {

@@ -196,10 +196,13 @@ func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	mRequests.Inc()
-	r, out, err := s.artifact(ctx, norm)
+	v, out, err := s.cache.GetOrCompute(ctx, norm.CacheKey(), func(ctx context.Context) (cache.Value, error) {
+		return s.run(ctx, norm)
+	})
 	if err != nil {
 		return nil, err
 	}
+	r := v.(*cachedResult)
 	return &Result{
 		Request:   norm,
 		STL:       r.stl,
@@ -208,20 +211,6 @@ func (s *Service) Do(ctx context.Context, req Request) (*Result, error) {
 		Grade:     r.grade,
 		Outcome:   out,
 	}, nil
-}
-
-// artifact returns the artifact of a normalized request from the cache:
-// memory, then disk, else a pipeline run coalesced with concurrent
-// identical calls. It counts no serve.requests, so the server can re-read
-// a finished job's artifact without counting a second request.
-func (s *Service) artifact(ctx context.Context, norm Request) (*cachedResult, cache.Outcome, error) {
-	v, out, err := s.cache.GetOrCompute(ctx, norm.CacheKey(), func(ctx context.Context) (cache.Value, error) {
-		return s.run(ctx, norm)
-	})
-	if err != nil {
-		return nil, out, err
-	}
-	return v.(*cachedResult), out, nil
 }
 
 // run executes the pipeline for a normalized request and freezes the

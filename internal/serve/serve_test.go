@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"obfuscade/internal/cache"
@@ -208,4 +210,47 @@ func TestDoValidationError(t *testing.T) {
 	if s := svc.CacheStats(); s.Misses != 0 {
 		t.Fatalf("invalid request reached the cache: %+v", s)
 	}
+}
+
+// FuzzRequestKey decodes arbitrary bodies as POST /jobs does, then
+// normalizes and addresses them. Invariants: nothing panics;
+// normalizing a normalized request changes neither it nor its key; no
+// non-negative timeout_ms changes the key; and the unhyphenated
+// orientation spellings address the same artifact as x-y and x-z.
+func FuzzRequestKey(f *testing.F) {
+	for _, body := range []string{
+		`{}`, `{"seed": 1}`, `{"seed": 12, "resolution": "coarse"}`, `{"seed": 2, "resolution": "fine"}`,
+		`{"seed": 4, "timeout_ms": 1, "resolution": "fine", "simulate": true}`,
+		`{"part": "bar-sphere", "orientation": "xz", "restore_sphere": true}`,
+		`{"part": "teapot"}`, `{"resolution": "ultra"}`, `{"orientation": "diagonal"}`,
+		`{"timeout_ms": -5}`, `{"unknown_field": 1}`,
+	} {
+		f.Add([]byte(body), int64(30000))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, timeout int64) {
+		var req Request
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil {
+			return
+		}
+		norm, err := req.Normalize()
+		if err != nil {
+			return
+		}
+		key := norm.CacheKey()
+		if again, err := norm.Normalize(); err != nil || again != norm || again.CacheKey() != key {
+			t.Fatalf("re-normalizing %+v gave %+v, %v", norm, again, err)
+		}
+		timed := norm
+		timed.TimeoutMS = timeout & math.MaxInt64
+		if n, err := timed.Normalize(); err != nil || n.CacheKey() != key {
+			t.Fatalf("timeout_ms %d changed the key of %+v (err %v)", timed.TimeoutMS, norm, err)
+		}
+		spelled := req
+		spelled.Orientation = strings.ReplaceAll(norm.Orientation, "-", "")
+		if n, err := spelled.Normalize(); err != nil || n.CacheKey() != key {
+			t.Fatalf("orientation %q addresses differently from %q (err %v)", spelled.Orientation, norm.Orientation, err)
+		}
+	})
 }

@@ -721,9 +721,11 @@ func (s *Server) finished(w http.ResponseWriter, r *http.Request) (*job, *jobOut
 
 // handleSTL serves a finished job's STL. The job keeps no bytes, so they
 // come back through the result cache: memory, then disk, else a
-// deterministic re-run of the job under the job's own deadline. The
-// access log records that lookup's outcome. Like GET /sanitize/{id}/stl
-// it is a read, not a request: it counts no serve.requests.
+// deterministic re-run of the job under the job's own deadline. A re-run
+// is admitted like a sanitize run, so a full queue sheds it (429) and a
+// draining server refuses it (503). The access log records the lookup's
+// outcome. Like GET /sanitize/{id}/stl it is a read, not a request: it
+// counts no serve.requests.
 func (s *Server) handleSTL(w http.ResponseWriter, r *http.Request) {
 	j, _, ok := s.finished(w, r)
 	if !ok {
@@ -735,11 +737,22 @@ func (s *Server) handleSTL(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	res, out, err := s.svc.artifact(ctx, j.req)
+	v, out, err := s.svc.cache.GetOrCompute(ctx, j.req.CacheKey(), func(ctx context.Context) (cache.Value, error) {
+		if err := s.admitRun(); err != nil {
+			return nil, err
+		}
+		defer s.releaseRun()
+		return s.svc.run(ctx, j.req)
+	})
 	if err != nil {
+		if errors.Is(err, errDraining) || errors.Is(err, errOverloaded) {
+			writeSubmitError(w, err)
+			return
+		}
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	res := v.(*cachedResult)
 	AnnotateOutcome(r.Context(), out.String())
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="`+j.req.Part+`.stl"`)

@@ -703,6 +703,42 @@ func TestSTLReadAfterEvictionReruns(t *testing.T) {
 	}
 }
 
+// The pipeline re-run behind an evicted STL counts against the admission
+// bound: a full queue sheds the read with 429 + Retry-After, a draining
+// server refuses it with 503, and a free slot serves it.
+func TestSTLReRunIsAdmitted(t *testing.T) {
+	s := startTestServer(t, Options{MaxQueue: 1, CacheBytes: 1})
+	first, resp := post(t, s.URL()+"/jobs?wait=1", `{"seed": 43}`)
+	if resp.StatusCode != http.StatusOK || first.State != "done" {
+		t.Fatalf("cold job: status %d %+v", resp.StatusCode, first)
+	}
+	// Occupy the only slot, as an in-flight job would.
+	s.mu.Lock()
+	s.inflight++
+	s.mu.Unlock()
+	if _, resp := fetch(t, s.URL()+first.STLURL); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("STL re-run with a full queue: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	s.mu.Lock()
+	inflight := s.inflight
+	s.inflight--
+	s.mu.Unlock()
+	if inflight != 1 {
+		t.Fatalf("inflight = %d after the shed read, want 1", inflight)
+	}
+	body, resp := fetch(t, s.URL()+first.STLURL)
+	sum := sha256.Sum256(body)
+	if resp.StatusCode != http.StatusOK || hex.EncodeToString(sum[:]) != first.STLSHA256 {
+		t.Fatalf("STL re-run with a free slot: status %d, sha256 %x, want %s", resp.StatusCode, sum, first.STLSHA256)
+	}
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	if _, resp := fetch(t, s.URL()+first.STLURL); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("STL re-run while draining: status %d, want 503", resp.StatusCode)
+	}
+}
+
 func TestResultCodecRoundTrip(t *testing.T) {
 	in := &cachedResult{
 		stl:      []byte{0x00, 0x01, 0xff, 0xfe},

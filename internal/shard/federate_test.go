@@ -384,3 +384,6 @@ func findEntry(logText, reqID string, out *serve.AccessEntry) bool {
 	}
 	return false
 }
+
+// Ring exposes the placement ring to tests.
+func (rt *Router) Ring() *Ring { return rt.ring }

@@ -203,9 +203,6 @@ func (rt *Router) Addr() string { return rt.http.Addr() }
 // URL returns the router's base URL.
 func (rt *Router) URL() string { return rt.http.URL() }
 
-// Ring exposes the placement ring (tests and the saturation benchmark).
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // Close stops health probing and the listener. The shards themselves
 // are independent processes and are left running.
 func (rt *Router) Close() error {

@@ -9,63 +9,6 @@ import (
 	"obfuscade/internal/geom"
 )
 
-// winding returns contour c's winding number around p: zero for an open
-// chain, and zero when p lies outside the loop's bounding box. In exact
-// arithmetic the box test changes nothing. In float it settles the point
-// an ulp off a boundary, where a rounded cross product can read ±1: the
-// box says outside, and the slicer has always taken the box's word.
-func (c *Contour) winding(p geom.Vec2) int {
-	if !c.Closed || !c.Poly.Bounds().ContainsPoint(p) {
-		return 0
-	}
-	return c.Poly.WindingNumber(p)
-}
-
-// SignedWinding returns the summed winding number of every closed contour
-// around p. Outward shells contribute positively around material, cavity
-// and reversed-surface shells negatively.
-func (l *Layer) SignedWinding(p geom.Vec2) int {
-	w := 0
-	for i := range l.Contours {
-		w += l.Contours[i].winding(p)
-	}
-	return w
-}
-
-// Material reports whether point p receives model material under the
-// slicer's fill rule: signed winding positive and odd. This single rule
-// reproduces the paper's observations:
-//
-//   - plain solid: w=1 -> material;
-//   - sphere embedded without removal (solid or surface): |w| even inside
-//     the sphere -> no material (support fills it, Table 3 rows 1-2);
-//   - removal + solid sphere: w=1 -> material (Table 3 row 3);
-//   - removal + surface sphere: w=-1 -> no material (Table 3 row 4);
-//   - the doubly-covered slivers where two split bodies overlap: w=2 ->
-//     void micro-band along the spline (Fig. 4/8 mechanism).
-func (l *Layer) Material(p geom.Vec2) bool {
-	w := l.SignedWinding(p)
-	return w > 0 && w%2 == 1
-}
-
-// BodyWinding returns the winding number of one body's own closed
-// contours around p.
-func (l *Layer) BodyWinding(body string, p geom.Vec2) int {
-	w := 0
-	for i := range l.Contours {
-		if c := &l.Contours[i]; c.Body == body {
-			w += c.winding(p)
-		}
-	}
-	return w
-}
-
-// InsideBody reports whether p is inside the named body's material region.
-func (l *Layer) InsideBody(body string, p geom.Vec2) bool {
-	w := l.BodyWinding(body, p)
-	return w > 0 && w%2 == 1
-}
-
 // Bodies returns the sorted body names present (with closed contours) in
 // this layer.
 func (l *Layer) Bodies() []string {
@@ -125,28 +68,6 @@ func (bi *BodyInterface) MaxWidth() float64 {
 	return w
 }
 
-// MeanWidth returns the average void width over all probes.
-func (bi *BodyInterface) MeanWidth() float64 {
-	if len(bi.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range bi.Samples {
-		sum += s.Width
-	}
-	return sum / float64(len(bi.Samples))
-}
-
-// HasOverlap reports whether any probe found the bodies doubly covering.
-func (bi *BodyInterface) HasOverlap() bool {
-	for _, s := range bi.Samples {
-		if s.Overlap {
-			return true
-		}
-	}
-	return false
-}
-
 // findInterfaces probes each pair of bodies in the layer for near-contact
 // regions. The probes run against an edge index built once per layer,
 // and only when there is a pair to probe.
@@ -195,7 +116,7 @@ type probeEdge struct {
 //     InterfaceRange of p lies in a cell that the query box
 //     p ± (InterfaceRange + slack) reaches, and two edges that
 //     ProperlyIntersects can report crossing share a cell.
-//   - By y-row, of height cell/8. An edge changes WindingNumber only when
+//   - By y-row, of height cell/8. An edge changes a winding number only when
 //     min.Y <= q.Y < max.Y, and the bin function is monotone, so q's row
 //     holds every edge that counts. The filter uses only comparisons, so
 //     the sum is exact.
@@ -522,8 +443,9 @@ func closestOnEdge(e *probeEdge, p geom.Vec2) geom.Vec2 {
 	return e.a.Lerp(e.b, t)
 }
 
-// winding returns the winding number of be's contours around q, as
-// Layer.BodyWinding counts it: a loop whose box excludes q adds nothing.
+// winding returns the winding number of be's contours around q, as a
+// scan of the body's closed contours counts it: a loop whose box excludes
+// q adds nothing.
 func (px *probeIndex) winding(be *bodyEdges, q geom.Vec2) int {
 	r := px.row(q.Y)
 	w := 0
@@ -536,8 +458,9 @@ func (px *probeIndex) winding(be *bodyEdges, q geom.Vec2) int {
 	return w
 }
 
-// material is Layer.Material answered from the index: every closed
-// contour belongs to one of the indexed bodies.
+// material is the slicer's fill rule (signed winding positive and odd)
+// answered from the index: every closed contour belongs to one of the
+// indexed bodies.
 func (px *probeIndex) material(q geom.Vec2) bool {
 	w := 0
 	for k := range px.bodies {

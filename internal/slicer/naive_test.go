@@ -15,7 +15,64 @@ import (
 // indexed kernels must match byte-for-byte; the equivalence property
 // tests in property_test.go deep-compare the two on randomized meshes and
 // on the paper's golden parts. probe_test.go checks the interface probe's
-// edge index on hand-built layers.
+// edge index on hand-built layers. The fill rule below (Layer.Material
+// and the contour windings it sums) is the scan both probe oracles and
+// the Table 3 tests classify points with.
+
+// winding returns contour c's winding number around p: zero for an open
+// chain, and zero when p lies outside the loop's bounding box. In exact
+// arithmetic the box test changes nothing. In float it settles the point
+// an ulp off a boundary, where a rounded cross product can read ±1: the
+// box says outside, and the slicer has always taken the box's word.
+func (c *Contour) winding(p geom.Vec2) int {
+	if !c.Closed || !c.Poly.Bounds().ContainsPoint(p) {
+		return 0
+	}
+	w, n := 0, len(c.Poly)
+	for i := range c.Poly {
+		w += geom.WindingStep(c.Poly[i], c.Poly[(i+1)%n], p)
+	}
+	return w
+}
+
+// SignedWinding returns the summed winding number of every closed contour
+// around p. Outward shells contribute positively around material, cavity
+// and reversed-surface shells negatively.
+func (l *Layer) SignedWinding(p geom.Vec2) int {
+	w := 0
+	for i := range l.Contours {
+		w += l.Contours[i].winding(p)
+	}
+	return w
+}
+
+// Material reports whether point p receives model material under the
+// slicer's fill rule: signed winding positive and odd. This single rule
+// reproduces the paper's observations:
+//
+//   - plain solid: w=1 -> material;
+//   - sphere embedded without removal (solid or surface): |w| even inside
+//     the sphere -> no material (support fills it, Table 3 rows 1-2);
+//   - removal + solid sphere: w=1 -> material (Table 3 row 3);
+//   - removal + surface sphere: w=-1 -> no material (Table 3 row 4);
+//   - the doubly-covered slivers where two split bodies overlap: w=2 ->
+//     void micro-band along the spline (Fig. 4/8 mechanism).
+func (l *Layer) Material(p geom.Vec2) bool {
+	w := l.SignedWinding(p)
+	return w > 0 && w%2 == 1
+}
+
+// BodyWinding returns the winding number of one body's own closed
+// contours around p.
+func (l *Layer) BodyWinding(body string, p geom.Vec2) int {
+	w := 0
+	for i := range l.Contours {
+		if c := &l.Contours[i]; c.Body == body {
+			w += c.winding(p)
+		}
+	}
+	return w
+}
 
 // sliceNaive is the serial full-rescan slicer: SliceIndexedCtx without
 // the sweep index, the scratch pool, or the worker fan-out.

@@ -48,31 +48,12 @@ func (r *Raster) At(ix, iy int) CellClass {
 	return r.Class[iy*r.NX+ix]
 }
 
-// OwnerAt returns the owner bitmask at (ix, iy).
-func (r *Raster) OwnerAt(ix, iy int) uint32 {
-	if ix < 0 || iy < 0 || ix >= r.NX || iy >= r.NY {
-		return 0
-	}
-	return r.Owner[iy*r.NX+ix]
-}
-
 // Center returns the world coordinates of a cell centre.
 func (r *Raster) Center(ix, iy int) geom.Vec2 {
 	return geom.V2(
 		r.Origin.X+(float64(ix)+0.5)*r.Cell,
 		r.Origin.Y+(float64(iy)+0.5)*r.Cell,
 	)
-}
-
-// CountClass returns the number of cells with the given class.
-func (r *Raster) CountClass(c CellClass) int {
-	n := 0
-	for _, v := range r.Class {
-		if v == c {
-			n++
-		}
-	}
-	return n
 }
 
 // crossing is one scanline/edge intersection.
@@ -321,14 +302,4 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 	}
 	sc.crossings = crossings
 	return r, nil
-}
-
-// SolidArea integrates the model-material area of the layer by scanline at
-// the given x resolution (exact in y per row sample).
-func (l *Layer) SolidArea(min, max geom.Vec2, cell float64) float64 {
-	r, err := l.Rasterize(min, max, cell, nil)
-	if err != nil {
-		return 0
-	}
-	return float64(r.CountClass(Model)) * cell * cell
 }

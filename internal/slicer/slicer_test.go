@@ -434,3 +434,42 @@ func TestSliceCtxCancellation(t *testing.T) {
 		}
 	}
 }
+
+// OwnerAt returns the owner bitmask at (ix, iy).
+func (r *Raster) OwnerAt(ix, iy int) uint32 {
+	if ix < 0 || iy < 0 || ix >= r.NX || iy >= r.NY {
+		return 0
+	}
+	return r.Owner[iy*r.NX+ix]
+}
+
+// CountClass returns the number of cells with the given class.
+func (r *Raster) CountClass(c CellClass) int {
+	n := 0
+	for _, v := range r.Class {
+		if v == c {
+			n++
+		}
+	}
+	return n
+}
+
+// PathBounds returns the 2D bounding box of all extruding moves.
+func PathBounds(paths []*LayerToolpath) (geom.Vec2, geom.Vec2) {
+	lo := geom.V2(math.Inf(1), math.Inf(1))
+	hi := geom.V2(math.Inf(-1), math.Inf(-1))
+	for _, p := range paths {
+		for _, m := range p.Moves {
+			if m.Role == Travel {
+				continue
+			}
+			for _, q := range [2]geom.Vec2{m.From, m.To} {
+				lo.X = math.Min(lo.X, q.X)
+				lo.Y = math.Min(lo.Y, q.Y)
+				hi.X = math.Max(hi.X, q.X)
+				hi.Y = math.Max(hi.Y, q.Y)
+			}
+		}
+	}
+	return lo, hi
+}

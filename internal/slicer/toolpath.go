@@ -207,23 +207,3 @@ func TotalExtruded(paths []*LayerToolpath) float64 {
 	}
 	return sum
 }
-
-// PathBounds returns the 2D bounding box of all extruding moves.
-func PathBounds(paths []*LayerToolpath) (geom.Vec2, geom.Vec2) {
-	lo := geom.V2(math.Inf(1), math.Inf(1))
-	hi := geom.V2(math.Inf(-1), math.Inf(-1))
-	for _, p := range paths {
-		for _, m := range p.Moves {
-			if m.Role == Travel {
-				continue
-			}
-			for _, q := range [2]geom.Vec2{m.From, m.To} {
-				lo.X = math.Min(lo.X, q.X)
-				lo.Y = math.Min(lo.Y, q.Y)
-				hi.X = math.Max(hi.X, q.X)
-				hi.Y = math.Max(hi.Y, q.Y)
-			}
-		}
-	}
-	return lo, hi
-}

@@ -7,6 +7,50 @@ import (
 	"obfuscade/internal/geom"
 )
 
+// Curvature returns the unsigned curvature at global parameter t
+// (1/radius; 0 for straight sections).
+func (s *Spline) Curvature(t float64) float64 {
+	span, local := s.locate(t)
+	c := s.Spans[span]
+	d1 := c.Deriv(local)
+	// Second derivative of a cubic Bézier.
+	u := 1 - local
+	a := c.P2.Sub(c.P1.Scale(2)).Add(c.P0)
+	b := c.P3.Sub(c.P2.Scale(2)).Add(c.P1)
+	d2 := a.Scale(6 * u).Add(b.Scale(6 * local))
+	speed := d1.Len()
+	if speed == 0 {
+		return 0
+	}
+	return math.Abs(d1.Cross(d2)) / (speed * speed * speed)
+}
+
+// ParamAtArcLength returns the global parameter at which the curve has
+// accumulated arc length target (clamped to [0, total]).
+func (s *Spline) ParamAtArcLength(target float64) float64 {
+	if target <= 0 {
+		return 0
+	}
+	const steps = 2048
+	var acc float64
+	prev := s.Eval(0)
+	for i := 1; i <= steps; i++ {
+		t := float64(i) / steps
+		p := s.Eval(t)
+		seg := prev.Dist(p)
+		if acc+seg >= target {
+			frac := 0.0
+			if seg > 0 {
+				frac = (target - acc) / seg
+			}
+			return (float64(i-1) + frac) / steps
+		}
+		acc += seg
+		prev = p
+	}
+	return 1
+}
+
 func TestCurvatureLineZero(t *testing.T) {
 	s := FromBezier(line(geom.V2(0, 0), geom.V2(10, 5)))
 	for _, tt := range []float64{0.1, 0.5, 0.9} {

@@ -33,23 +33,11 @@ func (c CubicBezier) Eval(t float64) geom.Vec2 {
 	return c.P0.Scale(b0).Add(c.P1.Scale(b1)).Add(c.P2.Scale(b2)).Add(c.P3.Scale(b3))
 }
 
-// Deriv returns the first derivative (tangent, unnormalised) at t.
-func (c CubicBezier) Deriv(t float64) geom.Vec2 {
-	u := 1 - t
-	d0 := c.P1.Sub(c.P0).Scale(3 * u * u)
-	d1 := c.P2.Sub(c.P1).Scale(6 * u * t)
-	d2 := c.P3.Sub(c.P2).Scale(3 * t * t)
-	return d0.Add(d1).Add(d2)
-}
-
 // Spline is a piecewise-cubic planar curve. Spans join with positional
 // continuity; Catmull-Rom construction additionally gives C1 continuity.
 type Spline struct {
 	Spans []CubicBezier
 }
-
-// FromBezier wraps a single Bézier span as a Spline.
-func FromBezier(c CubicBezier) *Spline { return &Spline{Spans: []CubicBezier{c}} }
 
 // Interpolate builds a C1 Catmull-Rom spline through the given points
 // (at least two). This mirrors how a designer sketches a spline through
@@ -89,12 +77,6 @@ func (s *Spline) Eval(t float64) geom.Vec2 {
 	return s.Spans[span].Eval(local)
 }
 
-// Deriv returns the unnormalised tangent at global parameter t.
-func (s *Spline) Deriv(t float64) geom.Vec2 {
-	span, local := s.locate(t)
-	return s.Spans[span].Deriv(local)
-}
-
 func (s *Spline) locate(t float64) (span int, local float64) {
 	t = geom.Clamp(t, 0, 1)
 	n := len(s.Spans)
@@ -125,60 +107,6 @@ func (s *Spline) ArcLength() float64 {
 		}
 	}
 	return l
-}
-
-// Curvature returns the unsigned curvature at global parameter t
-// (1/radius; 0 for straight sections).
-func (s *Spline) Curvature(t float64) float64 {
-	span, local := s.locate(t)
-	c := s.Spans[span]
-	d1 := c.Deriv(local)
-	// Second derivative of a cubic Bézier.
-	u := 1 - local
-	a := c.P2.Sub(c.P1.Scale(2)).Add(c.P0)
-	b := c.P3.Sub(c.P2.Scale(2)).Add(c.P1)
-	d2 := a.Scale(6 * u).Add(b.Scale(6 * local))
-	speed := d1.Len()
-	if speed == 0 {
-		return 0
-	}
-	return math.Abs(d1.Cross(d2)) / (speed * speed * speed)
-}
-
-// ParamAtArcLength returns the global parameter at which the curve has
-// accumulated arc length target (clamped to [0, total]).
-func (s *Spline) ParamAtArcLength(target float64) float64 {
-	if target <= 0 {
-		return 0
-	}
-	const steps = 2048
-	var acc float64
-	prev := s.Eval(0)
-	for i := 1; i <= steps; i++ {
-		t := float64(i) / steps
-		p := s.Eval(t)
-		seg := prev.Dist(p)
-		if acc+seg >= target {
-			frac := 0.0
-			if seg > 0 {
-				frac = (target - acc) / seg
-			}
-			return (float64(i-1) + frac) / steps
-		}
-		acc += seg
-		prev = p
-	}
-	return 1
-}
-
-// Transform returns a copy of the spline with f applied to every control
-// point.
-func (s *Spline) Transform(f func(geom.Vec2) geom.Vec2) *Spline {
-	out := &Spline{Spans: make([]CubicBezier, len(s.Spans))}
-	for i, c := range s.Spans {
-		out.Spans[i] = CubicBezier{f(c.P0), f(c.P1), f(c.P2), f(c.P3)}
-	}
-	return out
 }
 
 // FlattenOpts controls chordal flattening, mirroring the STL export

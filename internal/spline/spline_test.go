@@ -8,6 +8,18 @@ import (
 	"obfuscade/internal/geom"
 )
 
+// Deriv returns the first derivative (tangent, unnormalised) at t.
+func (c CubicBezier) Deriv(t float64) geom.Vec2 {
+	u := 1 - t
+	d0 := c.P1.Sub(c.P0).Scale(3 * u * u)
+	d1 := c.P2.Sub(c.P1).Scale(6 * u * t)
+	d2 := c.P3.Sub(c.P2).Scale(3 * t * t)
+	return d0.Add(d1).Add(d2)
+}
+
+// FromBezier wraps a single Bézier span as a Spline.
+func FromBezier(c CubicBezier) *Spline { return &Spline{Spans: []CubicBezier{c}} }
+
 func line(a, b geom.Vec2) CubicBezier {
 	return CubicBezier{a, a.Lerp(b, 1.0/3), a.Lerp(b, 2.0/3), b}
 }
@@ -183,6 +195,16 @@ func TestMaxMismatchIdentical(t *testing.T) {
 	if got := MaxMismatch(a, a); got > 1e-12 {
 		t.Errorf("self mismatch = %v", got)
 	}
+}
+
+// Transform returns a copy of the spline with f applied to every control
+// point.
+func (s *Spline) Transform(f func(geom.Vec2) geom.Vec2) *Spline {
+	out := &Spline{Spans: make([]CubicBezier, len(s.Spans))}
+	for i, c := range s.Spans {
+		out.Spans[i] = CubicBezier{f(c.P0), f(c.P1), f(c.P2), f(c.P3)}
+	}
+	return out
 }
 
 func TestTransform(t *testing.T) {

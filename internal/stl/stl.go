@@ -33,14 +33,6 @@ const (
 	ASCII
 )
 
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	if f == ASCII {
-		return "ascii"
-	}
-	return "binary"
-}
-
 const (
 	binaryHeaderSize = 80
 	binaryFacetSize  = 50
@@ -163,17 +155,6 @@ func encodeASCII(w io.Writer, m *mesh.Mesh, name string) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// Decode reads an STL file in either dialect, auto-detecting the format.
-// The result is a mesh with a single shell named after the solid (binary
-// files use the header text up to the first NUL).
-func Decode(r io.Reader) (*mesh.Mesh, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("stl: read: %w", err)
-	}
-	return Unmarshal(data)
 }
 
 // Unmarshal parses STL bytes in either dialect.

@@ -2,6 +2,8 @@ package stl
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +12,25 @@ import (
 	"obfuscade/internal/geom"
 	"obfuscade/internal/mesh"
 )
+
+// String implements fmt.Stringer.
+func (f Format) String() string {
+	if f == ASCII {
+		return "ascii"
+	}
+	return "binary"
+}
+
+// Decode reads an STL file in either dialect, auto-detecting the format.
+// The result is a mesh with a single shell named after the solid (binary
+// files use the header text up to the first NUL).
+func Decode(r io.Reader) (*mesh.Mesh, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("stl: read: %w", err)
+	}
+	return Unmarshal(data)
+}
 
 func boxMesh() *mesh.Mesh {
 	return &mesh.Mesh{Shells: []mesh.Shell{

@@ -41,11 +41,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Stages lists the chain in order.
-func Stages() []Stage {
-	return []Stage{StageCAD, StageSTL, StageSlicing, StagePrinter, StageTesting}
-}
-
 // Risk is one row fragment of Table 1: a risk description paired with the
 // mitigation strategies that counter it.
 type Risk struct {
@@ -114,8 +109,9 @@ func Table1() *report.Table {
 type TaxonomyNode struct {
 	Name     string
 	Children []*TaxonomyNode
-	// AttackIDs reference executable attacks implemented in this
-	// package (see Catalog), empty for non-leaf categories.
+	// AttackIDs name the executable attacks of this category (the
+	// package's tests demonstrate each one), empty for non-leaf
+	// categories.
 	AttackIDs []string
 }
 
@@ -164,15 +160,4 @@ func (n *TaxonomyNode) Walk(f func(depth int, node *TaxonomyNode)) {
 		}
 	}
 	rec(0, n)
-}
-
-// LeafCount returns the number of leaf categories.
-func (n *TaxonomyNode) LeafCount() int {
-	count := 0
-	n.Walk(func(_ int, node *TaxonomyNode) {
-		if len(node.Children) == 0 {
-			count++
-		}
-	})
-	return count
 }

@@ -87,6 +87,3 @@ func (v *TicketValidator) Authorize(t JobTicket) error {
 	v.burned[t.Serial] = true
 	return nil
 }
-
-// Used returns how many tickets have been burned.
-func (v *TicketValidator) Used() int { return len(v.burned) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -164,9 +163,4 @@ func EnsureTraceID(ctx context.Context) (context.Context, string) {
 	}
 	id := NewTraceID()
 	return WithTraceID(ctx, id), id
-}
-
-// String renders tc for logs and errors.
-func (tc TraceContext) String() string {
-	return fmt.Sprintf("%s parent=%d", tc.TraceID, tc.Parent)
 }

@@ -33,6 +33,25 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceHeader feeds arbitrary header values to the parser.
+// Invariant: it never panics, and every accepted value's TraceContext
+// survives FormatTraceHeader → ParseTraceHeader unchanged.
+func FuzzParseTraceHeader(f *testing.F) {
+	for _, v := range []string{"4bf92f3577b34da6-42", "a-0", "ABC-007", "abc", "-42", "abc-", "nothex!-42", "4bf92f3577b34da6-—7"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tc, ok := ParseTraceHeader(v)
+		if !ok {
+			return
+		}
+		h := FormatTraceHeader(tc)
+		if back, ok := ParseTraceHeader(h); !ok || back != tc {
+			t.Fatalf("%q parsed as %+v, formatted as %q, re-parsed as %+v ok=%v", v, tc, h, back, ok)
+		}
+	})
+}
+
 func TestNewTraceIDShape(t *testing.T) {
 	a, b := NewTraceID(), NewTraceID()
 	if len(a) != 16 || !isHexID(a) {

@@ -245,15 +245,6 @@ type Span struct {
 	endOnce sync.Once
 }
 
-// ID returns the span's identifier — what a proxied request's
-// HeaderTrace names as the remote parent. 0 for the nil span.
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // StartSpan opens a span under the span carried by ctx and returns a
 // derived context that parents nested spans and instants to it.
 func (r *Recorder) StartSpan(ctx context.Context, cat, name string, args ...Arg) (context.Context, *Span) {

@@ -1,11 +1,143 @@
 package voxel
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"testing"
 
 	"obfuscade/internal/geom"
 )
+
+// The VOXL binary format: a small header followed by run-length-encoded
+// material bytes. Printed-artifact grids are dominated by long runs of a
+// single material, so RLE compresses them by two to three orders of
+// magnitude — cheap enough to archive every inspected build alongside its
+// CT report.
+
+const voxlMagic = "VOXL1\n"
+
+// Save serialises the grid to w.
+func (g *Grid) Save(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(voxlMagic); err != nil {
+		return fmt.Errorf("voxel: save: %w", err)
+	}
+	head := []any{
+		g.Origin.X, g.Origin.Y, g.Origin.Z,
+		g.Cell, g.CellZ,
+		int64(g.NX), int64(g.NY), int64(g.NZ),
+	}
+	for _, v := range head {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+			return fmt.Errorf("voxel: save header: %w", err)
+		}
+	}
+	// RLE: (count uint32, material byte) pairs over the flat cell array.
+	i := 0
+	for i < len(g.cells) {
+		m := g.cells[i]
+		j := i
+		for j < len(g.cells) && g.cells[j] == m && j-i < (1<<31) {
+			j++
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(j-i)); err != nil {
+			return fmt.Errorf("voxel: save run: %w", err)
+		}
+		if err := bw.WriteByte(byte(m)); err != nil {
+			return fmt.Errorf("voxel: save run: %w", err)
+		}
+		i = j
+	}
+	return bw.Flush()
+}
+
+// Marshal serialises the grid to bytes.
+func (g *Grid) Marshal() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Load parses a grid saved by Save.
+func Load(r io.Reader) (*Grid, error) {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(voxlMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, fmt.Errorf("voxel: load magic: %w", err)
+	}
+	if string(magic) != voxlMagic {
+		return nil, fmt.Errorf("voxel: bad magic %q", magic)
+	}
+	var ox, oy, oz, cell, cellZ float64
+	var nx, ny, nz int64
+	for _, v := range []any{&ox, &oy, &oz, &cell, &cellZ, &nx, &ny, &nz} {
+		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
+			return nil, fmt.Errorf("voxel: load header: %w", err)
+		}
+	}
+	if nx <= 0 || ny <= 0 || nz <= 0 || cell <= 0 || cellZ <= 0 {
+		return nil, fmt.Errorf("voxel: invalid header dims %dx%dx%d", nx, ny, nz)
+	}
+	total := nx * ny * nz
+	if total > 200_000_000 {
+		return nil, fmt.Errorf("voxel: %d voxels exceed sanity limit", total)
+	}
+	g := &Grid{
+		Origin: geom.V3(ox, oy, oz),
+		Cell:   cell, CellZ: cellZ,
+		NX: int(nx), NY: int(ny), NZ: int(nz),
+		cells: make([]Material, total),
+	}
+	i := int64(0)
+	for i < total {
+		var count uint32
+		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+			return nil, fmt.Errorf("voxel: load run: %w", err)
+		}
+		mb, err := br.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("voxel: load run byte: %w", err)
+		}
+		if mb > byte(Support) {
+			return nil, fmt.Errorf("voxel: invalid material %d", mb)
+		}
+		if int64(count) == 0 || i+int64(count) > total {
+			return nil, fmt.Errorf("voxel: run overflows grid")
+		}
+		for k := int64(0); k < int64(count); k++ {
+			g.cells[i+k] = Material(mb)
+		}
+		i += int64(count)
+	}
+	return g, nil
+}
+
+// Unmarshal parses grid bytes.
+func Unmarshal(data []byte) (*Grid, error) {
+	return Load(bytes.NewReader(data))
+}
+
+// Equal reports whether two grids have identical geometry and content.
+func (g *Grid) Equal(o *Grid) bool {
+	if o == nil || g.NX != o.NX || g.NY != o.NY || g.NZ != o.NZ ||
+		g.Cell != o.Cell || g.CellZ != o.CellZ || !g.Origin.Eq(o.Origin, 0) {
+		return false
+	}
+	return bytes.Equal(materialBytes(g.cells), materialBytes(o.cells))
+}
+
+func materialBytes(m []Material) []byte {
+	out := make([]byte, len(m))
+	for i, v := range m {
+		out[i] = byte(v)
+	}
+	return out
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	g := newTestGrid(t, 12, 9, 7)

@@ -299,56 +299,3 @@ func (g *Grid) InternalCavities() []Component {
 	}
 	return out
 }
-
-// Porosity returns the fraction of void volume inside the material
-// envelope: internal empty voxels / (model + internal empty).
-func (g *Grid) Porosity() float64 {
-	model := g.Count(Model)
-	if model == 0 {
-		return 0
-	}
-	internal := 0
-	for _, c := range g.InternalCavities() {
-		internal += c.Voxels
-	}
-	return float64(internal) / float64(model+internal)
-}
-
-// CenterOfMass returns the centroid of the model-material voxels — the
-// balance point a simple scale-and-pivot inspection measures. A hidden
-// off-centre cavity shifts it detectably even without a CT scanner.
-func (g *Grid) CenterOfMass() (geom.Vec3, bool) {
-	var sum geom.Vec3
-	n := 0
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				if g.At(x, y, z) == Model {
-					sum = sum.Add(g.Center(x, y, z))
-					n++
-				}
-			}
-		}
-	}
-	if n == 0 {
-		return geom.Vec3{}, false
-	}
-	return sum.Scale(1 / float64(n)), true
-}
-
-// CrossSectionArea returns the model-material area of the voxel column
-// plane x = ix (area in mm^2). Useful for weakest-section analysis.
-func (g *Grid) CrossSectionArea(ix int) float64 {
-	if ix < 0 || ix >= g.NX {
-		return 0
-	}
-	n := 0
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			if g.At(ix, y, z) == Model {
-				n++
-			}
-		}
-	}
-	return float64(n) * g.Cell * g.CellZ
-}

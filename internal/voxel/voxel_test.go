@@ -7,6 +7,37 @@ import (
 	"obfuscade/internal/geom"
 )
 
+// Porosity returns the fraction of void volume inside the material
+// envelope: internal empty voxels / (model + internal empty).
+func (g *Grid) Porosity() float64 {
+	model := g.Count(Model)
+	if model == 0 {
+		return 0
+	}
+	internal := 0
+	for _, c := range g.InternalCavities() {
+		internal += c.Voxels
+	}
+	return float64(internal) / float64(model+internal)
+}
+
+// CrossSectionArea returns the model-material area of the voxel column
+// plane x = ix (area in mm^2). Useful for weakest-section analysis.
+func (g *Grid) CrossSectionArea(ix int) float64 {
+	if ix < 0 || ix >= g.NX {
+		return 0
+	}
+	n := 0
+	for z := 0; z < g.NZ; z++ {
+		for y := 0; y < g.NY; y++ {
+			if g.At(ix, y, z) == Model {
+				n++
+			}
+		}
+	}
+	return float64(n) * g.Cell * g.CellZ
+}
+
 func newTestGrid(t *testing.T, nx, ny, nz int) *Grid {
 	t.Helper()
 	g, err := NewGrid(geom.AABB{
