@@ -21,10 +21,10 @@ race:
 	$(GO) -C bench vet ./...
 	$(GO) test -race ./...
 
-# Production code is what the binaries link: build obfuscade, paperbench
-# and the bench harness with inlining off and fail on any non-test
-# function none of them links that scripts/deadcode.allow does not list,
-# or on a stale allow-list entry (scripts/deadcode.go).
+# Production code is what the binaries link: build obfuscade and the
+# bench harness with inlining off and fail on any non-test function
+# neither of them links that scripts/deadcode.allow does not list, or on
+# a stale allow-list entry (scripts/deadcode.go).
 deadcode:
 	$(GO) run scripts/deadcode.go
 

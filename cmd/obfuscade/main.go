@@ -1,6 +1,7 @@
 // Command obfuscade is the ObfusCADe protection CLI: it embeds security
 // features in CAD models, manufactures them under chosen processing keys,
-// evaluates the full quality matrix, and authenticates printed parts.
+// evaluates the full quality matrix, authenticates printed parts, and
+// regenerates the paper's evaluation.
 //
 // Subcommands:
 //
@@ -9,7 +10,8 @@
 //	                      [-res coarse|fine|custom] [-orient xy|xz] [-restore-sphere]
 //	                      [-printer fdm|polyjet] [-stl out.stl] [-gcode out.gcode] [-inspect]
 //	obfuscade matrix -in design.ocad -manifest manifest.json [-keyspace] [-workers N]
-//	obfuscade keyspace -in design.ocad -manifest manifest.json [-workers N]
+//	obfuscade paper [-exp all|NAME] [-n replicates] [-seed N] [-csv]
+//	                [-cpuprofile file] [-memprofile file] [-workers N]
 //	obfuscade advise [-amplitudes 1.0,2.0]
 //	obfuscade mark -in part.stl -out marked.stl -key partner-a
 //	obfuscade trace -original part.stl -suspect leaked.stl -keys partner-a,partner-b
@@ -21,6 +23,13 @@
 //	                [-vnodes N] [-hedge-after D] [-probe-interval D] [-access-log file]
 //	obfuscade trace-merge -out merged.json [name=]journal.ndjson ...
 //	obfuscade sanitize -in part.stl -out clean.stl [-quantum Q] [-report report.json]
+//
+// paper regenerates the tables and figures of the paper's evaluation:
+// -exp all runs every experiment in one fixed order, and -exp NAME one
+// of them (-h lists the names). -cpuprofile and -memprofile write pprof
+// profiles of the whole run; see EXPERIMENTS.md ("Profiling the
+// pipeline"). Performance is measured by the benchmark harness under
+// bench/ (bash bench/run.sh), not here.
 //
 // sanitize destroys the stego channels of a design file (facet-order
 // permutation and sub-quantum coordinate offsets): facets are re-ordered
@@ -56,17 +65,21 @@
 // ring membership at /cluster/ring; `obfuscade stats -cluster <url>`
 // renders the federated view from the command line.
 //
-// The manufacture, matrix and keyspace subcommands accept -stats to print
+// The manufacture, matrix and paper subcommands accept -stats to print
 // the per-stage pipeline metrics (package obs) after their output, plus
 // -debug-addr to serve the unified debug surface (/metrics Prometheus
 // text, /metrics.json, /trace Chrome trace download, /debug/pprof) for
 // the duration of the run and -trace-out to write the run's Chrome trace
-// JSON on exit. manufacture and matrix accept -manifest-out to write
-// per-key provenance manifests (NDJSON audit lines with key settings,
-// STL SHA-256, grade, per-stage wall times). The stats subcommand runs a
-// full quality-matrix pass on the reference protected bar and emits the
-// metrics snapshot as JSON (-format json, the default) or human tables
-// (-format text).
+// JSON on exit. A -debug-addr that cannot bind fails the subcommand
+// before any work runs. manufacture and matrix accept -manifest-out to
+// write per-key provenance manifests (NDJSON audit lines with key
+// settings, STL SHA-256, grade, per-stage wall times). The stats
+// subcommand runs a full quality-matrix pass on the reference protected
+// bar and emits the metrics snapshot as JSON (-format json, the default)
+// or human tables (-format text).
+//
+// Exit status: 0 on success, 1 when the subcommand fails, 2 on a flag or
+// usage error.
 package main
 
 import (
@@ -116,7 +129,8 @@ func statsFlag(fs *flag.FlagSet) func() {
 // debugFlags registers the shared -debug-addr and -trace-out flags.
 // start binds the debug server synchronously (a bad address fails the
 // subcommand before any work runs); finish writes the trace file and
-// stops the server.
+// stops the server. Subcommands defer keepFirst(&err, finish), so a
+// trace file that cannot be written fails the run.
 func debugFlags(fs *flag.FlagSet) (start, finish func() error) {
 	addr := fs.String("debug-addr", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address")
 	traceOut := fs.String("trace-out", "", "write the run's Chrome trace JSON to this file on exit")
@@ -140,17 +154,32 @@ func debugFlags(fs *flag.FlagSet) (start, finish func() error) {
 		if *traceOut == "" {
 			return nil
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.Default().WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return writeFile(*traceOut, trace.Default().WriteChrome)
 	}
 	return start, finish
+}
+
+// keepFirst calls f and stores its error in *err unless *err already
+// holds one. Deferred, it reports a failure to finish an output file
+// that the subcommand's own result would otherwise drop.
+func keepFirst(err *error, f func() error) {
+	if ferr := f(); *err == nil {
+		*err = ferr
+	}
+}
+
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
@@ -166,8 +195,8 @@ func main() {
 		err = cmdManufacture(os.Args[2:])
 	case "matrix":
 		err = cmdMatrix(os.Args[2:])
-	case "keyspace":
-		err = cmdKeyspace(os.Args[2:])
+	case "paper":
+		err = cmdPaper(os.Args[2:])
 	case "advise":
 		err = cmdAdvise(os.Args[2:])
 	case "mark":
@@ -196,7 +225,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: obfuscade <protect|manufacture|matrix|keyspace|advise|mark|trace|stats|serve|trace-merge|sanitize> [flags]
+	fmt.Fprintln(os.Stderr, `usage: obfuscade <protect|manufacture|matrix|paper|advise|mark|trace|stats|serve|trace-merge|sanitize> [flags]
 run "obfuscade <subcommand> -h" for flags`)
 }
 
@@ -299,7 +328,7 @@ func cmdProtect(args []string) error {
 	return nil
 }
 
-func cmdManufacture(args []string) error {
+func cmdManufacture(args []string) (err error) {
 	fs := flag.NewFlagSet("manufacture", flag.ExitOnError)
 	in := fs.String("in", "design.ocad", "protected CAD file")
 	man := fs.String("manifest", "manifest.json", "manifest file")
@@ -323,7 +352,7 @@ func cmdManufacture(args []string) error {
 		return err
 	}
 	defer emitStats()
-	defer finishDebug()
+	defer keepFirst(&err, finishDebug)
 	prot, err := loadProtected(*in, *man)
 	if err != nil {
 		return err
@@ -400,7 +429,7 @@ func cmdManufacture(args []string) error {
 	return nil
 }
 
-func cmdMatrix(args []string) error {
+func cmdMatrix(args []string) (err error) {
 	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
 	in := fs.String("in", "design.ocad", "protected CAD file")
 	man := fs.String("manifest", "manifest.json", "manifest file")
@@ -417,7 +446,7 @@ func cmdMatrix(args []string) error {
 		return err
 	}
 	defer emitStats()
-	defer finishDebug()
+	defer keepFirst(&err, finishDebug)
 	prot, err := loadProtected(*in, *man)
 	if err != nil {
 		return err
@@ -436,46 +465,15 @@ func cmdMatrix(args []string) error {
 			printKeySpace(core.KeySpaceFromEntries(entries))
 		}
 		if *manifestOut != "" {
-			f, ferr := os.Create(*manifestOut)
-			if ferr != nil {
-				return ferr
-			}
-			n, werr := core.WriteManifests(f, entries, 0)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
+			var n int
+			if werr := writeFile(*manifestOut, func(w io.Writer) (err error) {
+				n, err = core.WriteManifests(w, entries, 0)
+				return err
+			}); werr != nil {
 				return werr
 			}
 			fmt.Printf("wrote %d provenance manifests to %s\n", n, *manifestOut)
 		}
-	}
-	return err
-}
-
-func cmdKeyspace(args []string) error {
-	fs := flag.NewFlagSet("keyspace", flag.ExitOnError)
-	in := fs.String("in", "design.ocad", "protected CAD file")
-	man := fs.String("manifest", "manifest.json", "manifest file")
-	setWorkers := workersFlag(fs)
-	emitStats := statsFlag(fs)
-	startDebug, finishDebug := debugFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	setWorkers()
-	if err := startDebug(); err != nil {
-		return err
-	}
-	defer emitStats()
-	defer finishDebug()
-	prot, err := loadProtected(*in, *man)
-	if err != nil {
-		return err
-	}
-	rep, _, err := core.AnalyzeKeySpace(prot, printer.DimensionElite())
-	if rep.TotalKeys > 0 {
-		printKeySpace(rep)
 	}
 	return err
 }
@@ -496,7 +494,7 @@ func printKeySpace(rep core.KeySpaceReport) {
 // or the human tables of -stats with -format text. With -cluster it runs
 // nothing locally: it asks a router's /cluster/metrics.json for the
 // federated view and renders per-shard plus cluster-wide metrics.
-func cmdStats(args []string) error {
+func cmdStats(args []string) (err error) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	withSphere := fs.Bool("with-sphere", false, "embed the sphere feature too (doubles the key space)")
 	format := fs.String("format", "json", "output format: text (human tables) or json (machine-readable snapshot)")
@@ -516,7 +514,7 @@ func cmdStats(args []string) error {
 	if err := startDebug(); err != nil {
 		return err
 	}
-	defer finishDebug()
+	defer keepFirst(&err, finishDebug)
 	obs.Default().Reset()
 	prot, err := core.NewProtectedBar("stats-bar", *withSphere)
 	if err != nil {

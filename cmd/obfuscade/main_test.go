@@ -12,6 +12,7 @@ import (
 	"obfuscade/internal/mech"
 	"obfuscade/internal/stl"
 	"obfuscade/internal/tessellate"
+	"obfuscade/internal/trace"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -186,12 +187,77 @@ func TestManufactureBadArguments(t *testing.T) {
 	}
 }
 
-func TestKeyspaceSubcommand(t *testing.T) {
+// TestMatrixSubcommand runs matrix with every output it offers on a
+// protected design: the key-space lines, the metrics tables, one
+// provenance manifest per key and the run's Chrome trace.
+func TestMatrixSubcommand(t *testing.T) {
 	cad, man := protectTo(t)
-	// -stats rides along: the run must succeed and print the metrics
-	// tables without disturbing the keyspace output.
-	if err := cmdKeyspace([]string{"-in", cad, "-manifest", man, "-stats"}); err != nil {
+	dir := filepath.Dir(cad)
+	manifests := filepath.Join(dir, "manifests.ndjson")
+	traceOut := filepath.Join(dir, "trace.json")
+
+	trace.Default().Reset()
+	var err error
+	out := captureStdout(t, func() {
+		err = cmdMatrix([]string{"-in", cad, "-manifest", man, "-keyspace", "-stats",
+			"-manifest-out", manifests, "-trace-out", traceOut})
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"2 of 6 keys manufacture a good part:",
+		"key space size:           6",
+		"good keys:                2",
+		"mean print time:",
+		"expected brute-force:",
+		"wrote 6 provenance manifests to " + manifests,
+		"worker pool utilization:",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("matrix output lacks %q:\n%s", want, out)
+		}
+	}
+
+	data, err := os.ReadFile(manifests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("want 6 manifest lines, got %d", len(lines))
+	}
+	for i, line := range lines {
+		var p core.Provenance
+		if err := json.Unmarshal([]byte(line), &p); err != nil {
+			t.Fatalf("manifest line %d: %v", i, err)
+		}
+		if p.STLSHA256 == "" || p.Grade == "" {
+			t.Fatalf("manifest line %d incomplete: %+v", i, p)
+		}
+	}
+
+	traceData, err := os.ReadFile(traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(traceData, &chrome); err != nil {
+		t.Fatalf("trace output is not valid Chrome JSON: %v", err)
+	}
+	foundRun := false
+	for _, e := range chrome.TraceEvents {
+		if e.Cat == "run" && e.Name == "core.matrix" {
+			foundRun = true
+		}
+	}
+	if !foundRun {
+		t.Fatal("Chrome trace lacks the core.matrix run span")
 	}
 }
 

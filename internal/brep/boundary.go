@@ -23,8 +23,9 @@ type Boundary interface {
 	End() geom.Vec2
 	// YRange returns conservative lower/upper bounds of y along the curve.
 	YRange() (lo, hi float64)
-	// boundaryTag names the concrete type for serialisation.
-	boundaryTag() string
+	// isBoundary only seals Boundary to this package's types; encode.go
+	// names each kind.
+	isBoundary()
 }
 
 // LineBoundary is a straight segment from (X0, Y0) to (X1, Y1).
@@ -48,7 +49,7 @@ func (l *LineBoundary) YRange() (float64, float64) {
 	return math.Min(l.Y0, l.Y1), math.Max(l.Y0, l.Y1)
 }
 
-func (l *LineBoundary) boundaryTag() string { return "line" }
+func (l *LineBoundary) isBoundary() {}
 
 // FuncBoundary is an analytic curve y = F(x) over [X0, X1], flattened
 // adaptively. It is used for the dogbone fillet arcs, whose facet count
@@ -142,7 +143,7 @@ func (f *FuncBoundary) YRange() (float64, float64) {
 	return lo, hi
 }
 
-func (f *FuncBoundary) boundaryTag() string { return "func:" + f.Tag }
+func (f *FuncBoundary) isBoundary() {}
 
 // SplineBoundary wraps a sketch spline as a prism boundary. This is the
 // boundary created by the spline split feature; its flattening honours the
@@ -175,7 +176,7 @@ func (s *SplineBoundary) YRange() (float64, float64) {
 	return lo, hi
 }
 
-func (s *SplineBoundary) boundaryTag() string { return "spline" }
+func (s *SplineBoundary) isBoundary() {}
 
 // CompositeBoundary concatenates boundaries end to end (left to right).
 type CompositeBoundary struct {
@@ -220,4 +221,4 @@ func (c *CompositeBoundary) YRange() (float64, float64) {
 	return lo, hi
 }
 
-func (c *CompositeBoundary) boundaryTag() string { return "composite" }
+func (c *CompositeBoundary) isBoundary() {}

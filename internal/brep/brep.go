@@ -50,8 +50,9 @@ type Shape interface {
 	Bounds() geom.AABB
 	// Volume returns the enclosed volume (0 for surface use).
 	Volume() float64
-	// kindTag names the concrete shape for serialisation.
-	kindTag() string
+	// isShape only seals Shape to this package's types; encode.go names
+	// each kind.
+	isShape()
 }
 
 // Prism is an extruded planar region. The profile is an x-monotone region
@@ -88,7 +89,7 @@ func (p *Prism) Volume() float64 {
 	return poly.Area() * (p.Z1 - p.Z0)
 }
 
-func (p *Prism) kindTag() string { return "prism" }
+func (p *Prism) isShape() {}
 
 // refOpts is the reference flattening used for mass properties.
 var refOpts = spline.FlattenOpts{Deviation: 0.005, Angle: 0.05}
@@ -141,7 +142,7 @@ func (s *Sphere) Bounds() geom.AABB {
 // Volume implements Shape.
 func (s *Sphere) Volume() float64 { return 4.0 / 3.0 * 3.141592653589793 * s.R * s.R * s.R }
 
-func (s *Sphere) kindTag() string { return "sphere" }
+func (s *Sphere) isShape() {}
 
 // Body is one body of a multi-body part.
 type Body struct {

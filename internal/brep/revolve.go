@@ -62,7 +62,7 @@ func (r *Revolve) Volume() float64 {
 	return v
 }
 
-func (r *Revolve) kindTag() string { return "revolve:" + r.Tag }
+func (r *Revolve) isShape() {}
 
 // Validate reports whether the shape is well-formed.
 func (r *Revolve) Validate() error {

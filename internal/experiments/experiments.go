@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment returns renderable report structures; the
-// cmd/paperbench binary prints them and the top-level benchmarks time
-// them. The per-experiment index lives in DESIGN.md §5 and the measured
+// evaluation. Each experiment returns renderable report structures;
+// `obfuscade paper` prints them and the top-level benchmarks time them.
+// The per-experiment index lives in DESIGN.md §5 and the measured
 // results in EXPERIMENTS.md.
 package experiments
 

@@ -1,7 +1,7 @@
 // Package parallel is the deterministic bounded worker pool used by the
 // hot paths of the manufacture pipeline (quality matrix, key-space
 // brute-force analysis, tensile replicates, per-layer slicing, the
-// paperbench regenerators).
+// paper's experiment regenerators).
 //
 // Design rules that make parallel output byte-identical to serial output:
 //

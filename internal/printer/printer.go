@@ -28,8 +28,8 @@ var (
 	stPrint      = obs.Stage("printer.print")
 	stGCodePrint = obs.Stage("printer.gcodeprint")
 	// stVoxel isolates the voxel work of a build — deposition, healing,
-	// support generation, washout — so paperbench can report the stage
-	// split between slicing-side and voxel-side time.
+	// support generation, washout — so -stats can report the stage split
+	// between slicing-side and voxel-side time.
 	stVoxel    = obs.Stage("printer.voxel")
 	mDeposited = obs.Default().Counter("printer.layers.deposited")
 	mSeams     = obs.Default().Counter("printer.seams")

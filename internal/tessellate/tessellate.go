@@ -25,7 +25,7 @@ import (
 
 // stTessellate times full part tessellations. Memoized pipelines call
 // Tessellate only on memo misses, so tessellate.mesh.seconds is the true
-// cost of the stage after sharing — exactly the split paperbench reports.
+// cost of the stage after sharing — exactly the split -stats reports.
 var stTessellate = obs.Stage("tessellate.mesh")
 
 // Resolution is an STL export quality setting (paper Fig. 5).

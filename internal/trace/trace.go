@@ -86,8 +86,8 @@ type Event struct {
 }
 
 // DefaultCapacity is the ring size of recorders created with New(0):
-// comfortably larger than a full paperbench -exp all pass, small enough
-// (a few MB) to stay resident forever.
+// comfortably larger than a full `obfuscade paper -exp all` pass, small
+// enough (a few MB) to stay resident forever.
 const DefaultCapacity = 1 << 14
 
 // Recorder is a fixed-capacity ring buffer of events. All methods are

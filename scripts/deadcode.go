@@ -1,13 +1,13 @@
 //go:build ignore
 
 // Deadcode fails when production code is reached only from tests. It
-// builds the three binaries — cmd/obfuscade, cmd/paperbench and the
-// bench/ harness — with inlining off, so every function they call keeps
-// a symbol, and reads their symbol tables with `go tool nm`. Every
-// top-level function or method declared in a non-test file outside
-// bench/ whose symbol is in none of them must be on the allow-list,
-// scripts/deadcode.allow, and every allow-list entry must still be
-// declared and still be linked by no binary.
+// builds the two binaries — cmd/obfuscade and the bench/ harness — with
+// inlining off, so every function they call keeps a symbol, and reads
+// their symbol tables with `go tool nm`. Every top-level function or
+// method declared in a non-test file outside bench/ whose symbol is in
+// neither of them must be on the allow-list, scripts/deadcode.allow, and
+// every allow-list entry must still be declared and still be linked by
+// no binary.
 //
 // An allow-list entry is a function key (internal/mesh.BoxShell,
 // internal/mesh.TopologyReport.Watertight) and its reason, one of
@@ -40,8 +40,8 @@ import (
 
 const allowFile = "scripts/deadcode.allow"
 
-// binaries are the package directories of the three main packages.
-var binaries = []string{"cmd/obfuscade", "cmd/paperbench", "bench"}
+// binaries are the package directories of the two main packages.
+var binaries = []string{"cmd/obfuscade", "bench"}
 
 type decl struct {
 	pos  string // file:line of the func keyword
