@@ -10,6 +10,7 @@ import (
 
 	"obfuscade/internal/core"
 	"obfuscade/internal/mech"
+	"obfuscade/internal/printer"
 	"obfuscade/internal/stl"
 	"obfuscade/internal/tessellate"
 	"obfuscade/internal/trace"
@@ -258,6 +259,33 @@ func TestMatrixSubcommand(t *testing.T) {
 	}
 	if !foundRun {
 		t.Fatal("Chrome trace lacks the core.matrix run span")
+	}
+}
+
+// TestKeyspaceSubcommand checks that the key-space report, once a
+// subcommand of its own, is the tail of `matrix -keyspace`: the output
+// ends with exactly the lines a separate core.AnalyzeKeySpace pass
+// reports for the same design.
+func TestKeyspaceSubcommand(t *testing.T) {
+	cad, man := protectTo(t)
+	var err error
+	out := captureStdout(t, func() {
+		err = cmdMatrix([]string{"-in", cad, "-manifest", man, "-keyspace"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := loadProtected(cad, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := core.AnalyzeKeySpace(prot, printer.DimensionElite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := captureStdout(t, func() { printKeySpace(rep) })
+	if !strings.HasSuffix(out, want) {
+		t.Fatalf("matrix -keyspace output does not end with the key-space report\n%s\nwant suffix:\n%s", out, want)
 	}
 }
 
