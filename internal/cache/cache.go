@@ -33,12 +33,13 @@
 //
 // The two users differ only in how lookups are counted (see census). A
 // cache from New or NewTiered counts hits, misses, coalesced joins and
-// promotions separately as cache.* metrics on cache.lookup spans. A
-// cache from NewMemo counts memo.builds and memo.reused on memo.lookup
-// spans: a serial matrix pass resolves a repeated key as a hit where a
-// pooled pass coalesces onto the in-flight leader, so the two are one
-// outcome and the matrix's metric and trace censuses stay independent
-// of scheduling.
+// promotions separately as cache.* metrics, and times lookups as the
+// cache.lookup stage. A cache from NewMemo counts memo.builds and
+// memo.reused and times lookups as the memo.lookup stage: a serial
+// matrix pass resolves a repeated key as a hit where a pooled pass
+// coalesces onto the in-flight leader, so the two are one outcome and
+// the matrix's metric and trace censuses stay independent of
+// scheduling.
 package cache
 
 import (
@@ -56,8 +57,7 @@ import (
 // census maps lookup events onto obs handles and span labels; it is the
 // only thing that differs between a serving cache and a stage memo.
 type census struct {
-	span     string          // trace span name of one lookup
-	timer    *obs.StageTimer // times each lookup; nil for none
+	stage    *trace.Stage    // times each lookup as one span
 	stageArg bool            // tag spans with the key's stage (Key.stage)
 	label    [4]string       // span outcome label, by Outcome
 	count    [4]*obs.Counter // per-outcome counter, by Outcome; nil uncounted
@@ -73,7 +73,7 @@ var outcomeNames = [...]string{Hit: "hit", Miss: "miss", Coalesced: "coalesced",
 // registry aggregates across instances; per-instance numbers come from
 // Cache.Stats. Disk hits are counted by the store (cache.disk.hits).
 var serveCensus = census{
-	span:  "cache.lookup",
+	stage: trace.NewStage("stage", "cache.lookup"),
 	label: outcomeNames,
 	count: [4]*obs.Counter{
 		Hit:       obs.Default().Counter("cache.hits"),
@@ -91,8 +91,7 @@ var serveCensus = census{
 // are gauges, because an LRU's eviction order under concurrency is a
 // scheduling accident, and gauges stay out of the deterministic view.
 var memoCensus = census{
-	span:     "memo.lookup",
-	timer:    obs.Stage("memo.lookup"),
+	stage:    trace.NewStage("stage", "memo.lookup"),
 	stageArg: true,
 	label:    [4]string{Hit: "reused", Miss: "built", Coalesced: "reused"},
 	count: [4]*obs.Counter{
@@ -275,12 +274,10 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, fn func(ctx context.C
 	if cs.stageArg {
 		args = []trace.Arg{trace.A("stage", key.stage())}
 	}
-	sctx, sp := trace.StartSpan(ctx, "stage", cs.span, args...)
-	timer := cs.timer.Start()
+	sctx, sp := cs.stage.Start(ctx, args...)
 	defer func() {
 		sp.SetArg("outcome", cs.label[out])
-		sp.End()
-		timer.EndErr(err)
+		sp.EndErr(err)
 	}()
 
 	for {

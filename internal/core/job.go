@@ -17,6 +17,10 @@ import (
 // fields — to invalidate results cached by older builds.
 const PipelineVersion = "obfuscade-pipeline/4"
 
+// stJob times whole jobs, including every pipeline run of the job
+// service.
+var stJob = trace.NewStage("run", "core.job")
+
 // JobSpec is one self-contained manufacture request: everything that
 // determines the output bytes, and nothing else. The serving layer
 // derives cache keys from a canonical encoding of this plus
@@ -70,12 +74,12 @@ func BuildProtected(part string) (*Protected, error) {
 // G-code, and derive the provenance record. ctx cancellation or
 // deadline expiry aborts mid-pipeline (the stages are context-aware
 // down to individual layers).
-func RunJob(ctx context.Context, spec JobSpec, prof printer.Profile) (*JobResult, error) {
-	ctx, sp := trace.StartSpan(ctx, "run", "core.job",
+func RunJob(ctx context.Context, spec JobSpec, prof printer.Profile) (_ *JobResult, err error) {
+	ctx, sp := stJob.Start(ctx,
 		trace.A("part", spec.Part),
 		trace.A("key", spec.Key.String()),
 		trace.A("seed", strconv.FormatInt(spec.Seed, 10)))
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 
 	prot, err := BuildProtected(spec.Part)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // grades produced (same seed, same counts — asserted by the obs
 // determinism test).
 var (
-	stManufacture   = obs.Stage("core.manufacture")
+	stManufacture   = trace.NewStage("stage", "core.manufacture")
 	mGradeGood      = obs.Default().Counter("core.grade.good")
 	mGradeDegraded  = obs.Default().Counter("core.grade.degraded")
 	mGradeDefective = obs.Default().Counter("core.grade.defective")
@@ -160,15 +160,13 @@ type ManufactureResult struct {
 // Outputs are byte-identical either way — the memo trades only time and
 // allocations, never content.
 func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile, mm *cache.Cache) (res *ManufactureResult, err error) {
-	span := stManufacture.Start()
-	ctx, tsp := trace.StartSpan(ctx, "stage", "core.manufacture")
+	ctx, sp := stManufacture.Start(ctx)
 	defer func() {
 		if err == nil {
 			countGrade(res.Quality.Grade)
-			tsp.SetArg("grade", res.Quality.Grade.String())
+			sp.SetArg("grade", res.Quality.Grade.String())
 		}
-		tsp.End()
-		span.EndErr(err)
+		sp.EndErr(err)
 	}()
 	part, err := ApplyKey(prot, key)
 	if err != nil {

@@ -16,10 +16,10 @@ import (
 	"obfuscade/internal/trace"
 )
 
-// Quality-matrix metrics: one stage span per matrix pass plus key
+// Quality-matrix metrics: one run span per matrix pass plus key
 // counters (enumerated and failed).
 var (
-	stMatrix      = obs.Stage("core.matrix")
+	stMatrix      = trace.NewStage("run", "core.matrix")
 	mMatrixKeys   = obs.Default().Counter("core.matrix.keys")
 	mMatrixFailed = obs.Default().Counter("core.matrix.failedkeys")
 )
@@ -79,19 +79,19 @@ type MatrixEntry struct {
 // compare against. A failing key does not abort the matrix: its entry
 // carries the error, the remaining keys still manufacture, and the
 // aggregated error lists every failed key in key order.
-func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([]MatrixEntry, error) {
-	span := stMatrix.Start()
+func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) (entries []MatrixEntry, err error) {
 	keys := AllKeys(prot)
 	mMatrixKeys.Add(int64(len(keys)))
-	ctx, runSpan := trace.StartSpan(context.Background(), "run", "core.matrix",
+	ctx, runSpan := stMatrix.Start(context.Background(),
 		trace.A("part", prot.Part.Name), trace.A("keys", fmt.Sprint(len(keys))))
-	entries := make([]MatrixEntry, len(keys))
+	defer func() { runSpan.EndErr(err) }()
+	entries = make([]MatrixEntry, len(keys))
 	// One stage memo per matrix pass: keys that share geometry-determining
 	// inputs (same CAD bytes + resolution across the two orientations)
 	// tessellate once and reuse. Unbounded is safe — residency is a handful
 	// of master meshes and z-sweep indexes, all released with the run.
 	mm := memo.New(0)
-	err := parallel.ForEachCtx(ctx, len(keys), workers, func(tctx context.Context, i int) error {
+	err = parallel.ForEachCtx(ctx, len(keys), workers, func(tctx context.Context, i int) error {
 		key := keys[i]
 		entries[i].Key = key
 		kctx, ksp := trace.StartSpan(tctx, "key", key.String())
@@ -128,8 +128,6 @@ func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([
 			mMatrixFailed.Inc()
 		}
 	}
-	runSpan.End()
-	span.EndErr(err)
 	return entries, err
 }
 

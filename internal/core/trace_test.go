@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"obfuscade/internal/obs"
 	"obfuscade/internal/printer"
 	"obfuscade/internal/trace"
 )
@@ -66,6 +69,98 @@ func TestMatrixTraceDeterministic(t *testing.T) {
 	}
 	if cats["stage"] == 0 || cats["batch"] == 0 {
 		t.Fatalf("stage/batch events missing from census: %v", cats)
+	}
+}
+
+// TestStagesAgreeWithTrace runs one matrix pass and one job and checks
+// that every Stage's two sinks agree: its .calls delta is its span count
+// in the trace and its .seconds sum delta is, to the nanosecond, the sum
+// of those spans' durations. It also checks the hierarchy the spans
+// form: every key span is a child of the run span, and every stage span
+// has a parent recorded in the same trace.
+func TestStagesAgreeWithTrace(t *testing.T) {
+	prot, err := NewProtectedBar("sinks-bar", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := printer.DimensionElite()
+	before := obs.Default().Snapshot()
+	trace.Default().Reset()
+	if _, err := QualityMatrixWorkers(prot, prof, 0); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Part: "bar", Key: prot.Manifest.Key, Simulate: true}
+	if _, err := RunJob(context.Background(), spec, prof); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default().Snapshot()
+	if d := trace.Default().Dropped(); d != 0 {
+		t.Fatalf("ring dropped %d events", d)
+	}
+
+	type total struct{ n, ns int64 }
+	spans := map[string]*total{}
+	byID := map[uint64]trace.Event{}
+	var run trace.Event
+	for _, e := range trace.Default().Events() {
+		if e.Kind != trace.KindSpan {
+			continue
+		}
+		byID[e.ID] = e
+		if spans[e.Name] == nil {
+			spans[e.Name] = &total{}
+		}
+		spans[e.Name].n++
+		spans[e.Name].ns += e.Dur.Nanoseconds()
+		if e.Cat == "run" && e.Name == "core.matrix" {
+			run = e
+		}
+	}
+
+	// A Stage is a <name>.seconds histogram beside a <name>.calls counter.
+	ran := map[string]bool{}
+	for _, h := range after.Stages {
+		name, ok := strings.CutSuffix(h.Name, ".seconds")
+		if !ok {
+			continue
+		}
+		calls, ok := after.Counter(name + ".calls")
+		if !ok {
+			continue
+		}
+		c0, _ := before.Counter(name + ".calls")
+		h0, _ := before.Stage(h.Name)
+		got := spans[name]
+		if got == nil {
+			got = &total{}
+		}
+		if calls-c0 != got.n {
+			t.Errorf("%s: .calls moved by %d, trace holds %d spans", name, calls-c0, got.n)
+		}
+		if ns := int64(math.Round((h.SumSeconds - h0.SumSeconds) * 1e9)); ns != got.ns {
+			t.Errorf("%s: .seconds sum moved by %d ns, its spans last %d ns", name, ns, got.ns)
+		}
+		ran[name] = calls > c0
+	}
+	for _, name := range []string{"core.matrix", "core.job", "core.manufacture", "memo.lookup",
+		"tessellate.mesh", "slicer.index.build", "slicer.slice", "parallel.foreach",
+		"printer.print", "printer.voxel", "gcode.simulate"} {
+		if !ran[name] {
+			t.Errorf("stage %s did not run", name)
+		}
+	}
+
+	for _, e := range byID {
+		switch e.Cat {
+		case "key":
+			if e.Parent != run.ID {
+				t.Errorf("key span %s has parent %d, want the run span %d", e.Name, e.Parent, run.ID)
+			}
+		case "stage":
+			if p, ok := byID[e.Parent]; !ok || p.Trace != e.Trace {
+				t.Errorf("stage span %s has parent %d, which is not a span of its trace", e.Name, e.Parent)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // Simulation metrics: per-program latency plus deterministic command and
 // violation totals.
 var (
-	stSimulate     = obs.Stage("gcode.simulate")
+	stSimulate     = trace.NewStage("stage", "gcode.simulate")
 	mSimCommands   = obs.Default().Counter("gcode.sim.commands")
 	mSimViolations = obs.Default().Counter("gcode.sim.violations")
 )
@@ -99,11 +99,8 @@ func SimulateCtx(ctx context.Context, p *Program, env Envelope) (*Report, error)
 	if p == nil || len(p.Commands) == 0 {
 		return nil, fmt.Errorf("gcode: empty program")
 	}
-	span := stSimulate.Start()
-	defer span.End()
-	_, tsp := trace.StartSpan(ctx, "stage", "gcode.simulate",
-		trace.A("commands", fmt.Sprint(len(p.Commands))))
-	defer tsp.End()
+	_, sp := stSimulate.Start(ctx, trace.A("commands", fmt.Sprint(len(p.Commands))))
+	defer sp.End()
 	rep := &Report{PerLayerExtrude: make(map[int64]float64)}
 	rep.Bounds = geom.EmptyAABB()
 	pos := geom.V3(0, 0, 0)

@@ -27,7 +27,7 @@ import (
 // Destructive-testing metrics: group latency plus a deterministic
 // replicate total (counted once per successful group).
 var (
-	stTestGroup = obs.Stage("mech.testgroup")
+	stTestGroup = trace.NewStage("stage", "mech.testgroup")
 	mReplicates = obs.Default().Counter("mech.replicates")
 )
 
@@ -317,11 +317,9 @@ type GroupResult struct {
 // The stage span parents to the span carried by ctx and a batch instant
 // records the deterministic replicate count.
 func TestGroupCtx(ctx context.Context, name string, s Specimen, n int, seed int64) (res GroupResult, err error) {
-	span := stTestGroup.Start()
-	ctx, tsp := trace.StartSpan(ctx, "stage", "mech.testgroup", trace.A("group", name))
+	ctx, sp := stTestGroup.Start(ctx, trace.A("group", name))
 	defer func() {
-		tsp.End()
-		span.EndErr(err)
+		sp.EndErr(err)
 		if err == nil {
 			mReplicates.Add(int64(n))
 		}

@@ -18,10 +18,3 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(0.0042)
 	}
 }
-
-func BenchmarkSpanStartEnd(b *testing.B) {
-	st := NewStage(NewRegistry(), "bench.stage")
-	for i := 0; i < b.N; i++ {
-		st.Start().End()
-	}
-}

@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability layer of the
 // manufacture pipeline: atomic counters, gauges and fixed-bucket latency
-// histograms registered in a process-wide registry, plus a StageTimer/Span
-// API for timing pipeline stages (CAD, STL, slicing, printing, testing —
-// the per-stage decomposition of paper Fig. 1 / Table 1).
+// histograms registered in a process-wide registry. Pipeline stages
+// (CAD, STL, slicing, printing, testing — the per-stage decomposition of
+// paper Fig. 1 / Table 1) are timed by trace.Stage, which observes each
+// span's duration on a <name>.seconds histogram here.
 //
 // Determinism contract (relied on by tests and the CI bench gate):
 //

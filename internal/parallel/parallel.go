@@ -39,7 +39,7 @@ var (
 	gWallNanos = obs.Default().Gauge("parallel.pool.wall.nanos")
 	hQueueWait = obs.Default().Histogram("parallel.queue.wait.seconds", nil)
 	hTask      = obs.Default().Histogram("parallel.task.seconds", nil)
-	stForEach  = obs.Stage("parallel.foreach")
+	stForEach  = trace.NewStage("stage", "parallel.foreach")
 )
 
 // maxWorkers is a sanity cap on explicitly requested pool sizes.
@@ -154,9 +154,11 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context
 	// Instrumentation: queue wait is measured from dispatch start to task
 	// start; per-task busy time feeds the utilization gauges. The serial
 	// fast path below wraps fn identically, so counter totals and
-	// histogram counts are independent of the worker count.
+	// histogram counts are independent of the worker count. The stage
+	// span parents to the caller's span, but tasks still receive the
+	// caller's ctx, so their spans stay siblings of it, not children.
 	mSubmitted.Add(int64(n))
-	span := stForEach.Start()
+	_, sp := stForEach.Start(ctx)
 	dispatchStart := time.Now()
 	task := fn
 	run := func(wctx context.Context, i int) error {
@@ -177,7 +179,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context
 	}
 	defer func() {
 		gWallNanos.Add(time.Since(dispatchStart).Nanoseconds() * int64(w))
-		span.EndErr(err)
+		sp.EndErr(err)
 	}()
 
 	if w == 1 {

@@ -1,6 +1,7 @@
 package printer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -21,9 +22,9 @@ import (
 // material, T1 deposits support material. The grid covers the program's
 // extruded extent; opts.Cell defaults to half the road width.
 func PrintGCode(prog *gcode.Program, prof Profile, opts Options) (build *Build, err error) {
-	span := stGCodePrint.Start()
+	_, sp := stGCodePrint.Start(context.TODO())
 	defer func() {
-		span.EndErr(err)
+		sp.EndErr(err)
 		if err == nil {
 			mDeposited.Add(int64(build.LayerCount))
 		}

@@ -25,12 +25,12 @@ import (
 // Virtual-print metrics: per-build latency plus deterministic layer and
 // seam totals for both deposition paths (slicer-region and G-code).
 var (
-	stPrint      = obs.Stage("printer.print")
-	stGCodePrint = obs.Stage("printer.gcodeprint")
+	stPrint      = trace.NewStage("stage", "printer.print")
+	stGCodePrint = trace.NewStage("stage", "printer.gcodeprint")
 	// stVoxel isolates the voxel work of a build — deposition, healing,
 	// support generation, washout — so -stats can report the stage split
 	// between slicing-side and voxel-side time.
-	stVoxel    = obs.Stage("printer.voxel")
+	stVoxel    = trace.NewStage("stage", "printer.voxel")
 	mDeposited = obs.Default().Counter("printer.layers.deposited")
 	mSeams     = obs.Default().Counter("printer.seams")
 )
@@ -186,11 +186,9 @@ func (b *Build) SeamBetween(a, c string) *SeamRecord {
 // re-slice). The stage span parents to the span carried by ctx and a
 // batch instant records the deterministic deposited-layer count.
 func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Options) (build *Build, err error) {
-	span := stPrint.Start()
-	ctx, tsp := trace.StartSpan(ctx, "stage", "printer.print")
+	ctx, sp := stPrint.Start(ctx)
 	defer func() {
-		tsp.End()
-		span.EndErr(err)
+		sp.EndErr(err)
 		if err == nil {
 			mDeposited.Add(int64(build.LayerCount))
 			mSeams.Add(int64(len(build.Seams)))
@@ -245,51 +243,6 @@ func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Opt
 
 	b := &Build{Profile: prof, Grid: grid, LayerCount: len(sliced.Layers)}
 
-	vspan := stVoxel.Start()
-	// Deposit model material layer by layer. One raster's cell arrays are
-	// recycled across the whole loop: every layer shares the same bounds
-	// and cell size, so after the first layer RasterizeInto never
-	// allocates the big Class/Owner stores again.
-	rmin := grid.Origin.XY()
-	rmax := geom.V2(
-		grid.Origin.X+float64(grid.NX)*cell,
-		grid.Origin.Y+float64(grid.NY)*cell,
-	)
-	var r *slicer.Raster
-	for li := range sliced.Layers {
-		layer := &sliced.Layers[li]
-		r, err = layer.RasterizeInto(rmin, rmax, cell, nil, r)
-		if err != nil {
-			vspan.End()
-			return nil, fmt.Errorf("printer: layer %d: %w", li, err)
-		}
-		zi := li / layersPerSlab
-		for iy := 0; iy < r.NY && iy < grid.NY; iy++ {
-			for ix := 0; ix < r.NX && ix < grid.NX; ix++ {
-				if r.At(ix, iy) == slicer.Model {
-					grid.Set(ix, iy, zi, voxel.Model)
-				}
-			}
-		}
-	}
-
-	if opts.ExtrusionTrim > 0 && opts.ExtrusionTrim < 1 {
-		applyExtrusionTrim(grid, opts.ExtrusionTrim)
-	} else if opts.ExtrusionTrim < 0 || opts.ExtrusionTrim > 1 {
-		vspan.End()
-		return nil, fmt.Errorf("printer: ExtrusionTrim %g out of [0,1]", opts.ExtrusionTrim)
-	}
-
-	healVoids(grid, prof, cell)
-	generateSupport(grid)
-
-	b.ModelVolume = grid.Volume(voxel.Model)
-	b.SupportVolume = grid.Volume(voxel.Support)
-	if !opts.KeepSupport {
-		grid.Replace(voxel.Support, voxel.Empty)
-	}
-	vspan.End()
-
 	// Seam physics from the slicer's exact interface geometry.
 	for i, a := range sliced.BodyNames {
 		for _, c := range sliced.BodyNames[i+1:] {
@@ -308,6 +261,50 @@ func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Opt
 				b.SurfaceDisruption = st.MaxWidth
 			}
 		}
+	}
+
+	// The rest of the build is its voxel work.
+	_, vsp := stVoxel.Start(ctx)
+	defer func() { vsp.EndErr(err) }()
+	// Deposit model material layer by layer. One raster's cell arrays are
+	// recycled across the whole loop: every layer shares the same bounds
+	// and cell size, so after the first layer RasterizeInto never
+	// allocates the big Class/Owner stores again.
+	rmin := grid.Origin.XY()
+	rmax := geom.V2(
+		grid.Origin.X+float64(grid.NX)*cell,
+		grid.Origin.Y+float64(grid.NY)*cell,
+	)
+	var r *slicer.Raster
+	for li := range sliced.Layers {
+		layer := &sliced.Layers[li]
+		r, err = layer.RasterizeInto(rmin, rmax, cell, nil, r)
+		if err != nil {
+			return nil, fmt.Errorf("printer: layer %d: %w", li, err)
+		}
+		zi := li / layersPerSlab
+		for iy := 0; iy < r.NY && iy < grid.NY; iy++ {
+			for ix := 0; ix < r.NX && ix < grid.NX; ix++ {
+				if r.At(ix, iy) == slicer.Model {
+					grid.Set(ix, iy, zi, voxel.Model)
+				}
+			}
+		}
+	}
+
+	if opts.ExtrusionTrim > 0 && opts.ExtrusionTrim < 1 {
+		applyExtrusionTrim(grid, opts.ExtrusionTrim)
+	} else if opts.ExtrusionTrim < 0 || opts.ExtrusionTrim > 1 {
+		return nil, fmt.Errorf("printer: ExtrusionTrim %g out of [0,1]", opts.ExtrusionTrim)
+	}
+
+	healVoids(grid, prof, cell)
+	generateSupport(grid)
+
+	b.ModelVolume = grid.Volume(voxel.Model)
+	b.SupportVolume = grid.Volume(voxel.Support)
+	if !opts.KeepSupport {
+		grid.Replace(voxel.Support, voxel.Empty)
 	}
 	return b, nil
 }

@@ -24,7 +24,7 @@ import (
 const MaxSanitizeBytes = 8 << 20
 
 var (
-	stSanitize   = obs.Stage("serve.sanitize")
+	stSanitize   = trace.NewStage("stage", "serve.sanitize")
 	mSanRequests = obs.Default().Counter("serve.sanitize.requests")
 	mSanDone     = obs.Default().Counter("serve.sanitize.completed")
 	mSanFailed   = obs.Default().Counter("serve.sanitize.failed")
@@ -146,12 +146,12 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	key := SanitizeKey(body, quantum)
 	ctx, span := trace.StartSpan(r.Context(), "serve", "sanitize", trace.A("key", string(key)))
 	defer span.End()
-	v, out, err := s.svc.cache.GetOrCompute(ctx, key, func(context.Context) (cache.Value, error) {
+	v, out, err := s.svc.cache.GetOrCompute(ctx, key, func(ctx context.Context) (cache.Value, error) {
 		if err := s.admitRun(); err != nil {
 			return nil, err
 		}
 		defer s.releaseRun()
-		return s.runSanitize(body, quantum)
+		return s.runSanitize(ctx, body, quantum)
 	})
 	if err != nil {
 		if errors.Is(err, errDraining) || errors.Is(err, errOverloaded) {
@@ -174,12 +174,12 @@ func (s *Server) handleSanitize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runSanitize executes one sanitize under the stage timer and freezes
-// the outcome into an immutable cache value.
-func (s *Server) runSanitize(body []byte, quantum float64) (cache.Value, error) {
-	t := stSanitize.Start()
+// runSanitize executes one sanitize as the serve.sanitize stage and
+// freezes the outcome into an immutable cache value.
+func (s *Server) runSanitize(ctx context.Context, body []byte, quantum float64) (_ cache.Value, err error) {
+	_, sp := stSanitize.Start(ctx)
+	defer func() { sp.EndErr(err) }()
 	clean, rep, err := stego.SanitizeSTL(body, stego.Options{Quantum: quantum})
-	t.EndErr(err)
 	if err != nil {
 		mSanFailed.Inc()
 		return nil, fmt.Errorf("serve: sanitize: %w", err)

@@ -28,7 +28,6 @@ import (
 )
 
 var (
-	stJob      = obs.Stage("serve.job")
 	mRequests  = obs.Default().Counter("serve.requests")
 	mCompleted = obs.Default().Counter("serve.jobs.completed")
 	mFailed    = obs.Default().Counter("serve.jobs.failed")
@@ -221,9 +220,7 @@ func (s *Service) run(ctx context.Context, norm Request) (cache.Value, error) {
 		return nil, err
 	}
 	gInflight.Add(1)
-	t := stJob.Start()
 	job, err := core.RunJob(ctx, spec, s.prof)
-	t.EndErr(err)
 	gInflight.Add(-1)
 	if err != nil {
 		mFailed.Inc()

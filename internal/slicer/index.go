@@ -20,7 +20,7 @@ import (
 // (a caller bug — content-addressed memo keys make it structurally
 // impossible); they fall back to a fresh build, never to wrong output.
 var (
-	stIndexBuild    = obs.Stage("slicer.index.build")
+	stIndexBuild    = trace.NewStage("stage", "slicer.index.build")
 	mIndexTris      = obs.Default().Counter("slicer.index.triangles")
 	mIndexCrossings = obs.Default().Counter("slicer.index.crossings")
 	mIndexRejected  = obs.Default().Counter("slicer.index.rejected")
@@ -73,10 +73,8 @@ func layerSpan(zmin, zmax, minZ, h float64, nLayers int) (lo, hi int) {
 // so the trace census and stage histograms are identical whether the
 // index is built inline by SliceIndexedCtx or inside a memo build closure.
 func buildSweepIndex(ctx context.Context, m *mesh.Mesh, minZ, layerH float64, nLayers int) *sweepIndex {
-	span := stIndexBuild.Start()
-	defer span.End()
-	_, tsp := trace.StartSpan(ctx, "stage", "slicer.index.build")
-	defer tsp.End()
+	_, sp := stIndexBuild.Start(ctx)
+	defer sp.End()
 
 	ix := &sweepIndex{shells: make([]shellIndex, len(m.Shells))}
 	var spans []mesh.ZSpan

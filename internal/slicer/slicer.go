@@ -30,7 +30,7 @@ import (
 // totals (counted once after the parallel fan-out assembles, so the
 // values never depend on scheduling).
 var (
-	stSlice   = obs.Stage("slicer.slice")
+	stSlice   = trace.NewStage("stage", "slicer.slice")
 	mLayers   = obs.Default().Counter("slicer.layers.sliced")
 	mContours = obs.Default().Counter("slicer.contours")
 )
@@ -141,12 +141,8 @@ type Result struct {
 // shape — a caller bug) is counted on slicer.index.rejected and rebuilt,
 // so a bad injection can cost time but never correctness.
 func SliceIndexedCtx(ctx context.Context, m *mesh.Mesh, opts Options, ix *Index) (res *Result, err error) {
-	span := stSlice.Start()
-	ctx, tsp := trace.StartSpan(ctx, "stage", "slicer.slice")
-	defer func() {
-		tsp.End()
-		span.EndErr(err)
-	}()
+	ctx, sp := stSlice.Start(ctx)
+	defer func() { sp.EndErr(err) }()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

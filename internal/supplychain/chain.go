@@ -30,6 +30,10 @@ import (
 // and need no invalidation at all.
 const memoSchema = "supplychain/1"
 
+// stTessellate times tessellations, which a memoized pipeline runs only
+// on memo misses: the stage's cost after sharing.
+var stTessellate = trace.NewStage("stage", "tessellate.mesh")
+
 // Pipeline is the full cloud-aware AM process chain of paper Fig. 1:
 // CAD -> (FEA) -> STL -> slicing/G-code -> printing -> testing. Each
 // stage's artifact is retained so attacks can be injected and mitigations
@@ -198,16 +202,24 @@ func resKey(r tessellate.Resolution) []byte {
 // value another matrix key is about to reuse.
 func (p Pipeline) tessellated(ctx context.Context, part *brep.Part, cadBytes []byte) (*mesh.Mesh, error) {
 	if p.Memo == nil {
-		return tessellate.Tessellate(part, p.Resolution)
+		return p.tessellate(ctx, part)
 	}
 	key := memo.Keyed("tess", memoSchema, cadBytes, resKey(p.Resolution))
-	v, _, err := p.Memo.GetOrCompute(ctx, key, func(context.Context) (cache.Value, error) {
-		return tessellate.Tessellate(part, p.Resolution)
+	v, _, err := p.Memo.GetOrCompute(ctx, key, func(ctx context.Context) (cache.Value, error) {
+		return p.tessellate(ctx, part)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*mesh.Mesh).Clone(), nil
+}
+
+// tessellate meshes the part under the span carried by ctx: the memo
+// lookup's on a miss, the pipeline's without a memo.
+func (p Pipeline) tessellate(ctx context.Context, part *brep.Part) (_ *mesh.Mesh, err error) {
+	_, sp := stTessellate.Start(ctx)
+	defer func() { sp.EndErr(err) }()
+	return tessellate.Tessellate(part, p.Resolution)
 }
 
 // sweepIndex returns the slicer's z-sweep index for the oriented mesh,

@@ -19,14 +19,8 @@ import (
 	"obfuscade/internal/brep"
 	"obfuscade/internal/geom"
 	"obfuscade/internal/mesh"
-	"obfuscade/internal/obs"
 	"obfuscade/internal/spline"
 )
-
-// stTessellate times full part tessellations. Memoized pipelines call
-// Tessellate only on memo misses, so tessellate.mesh.seconds is the true
-// cost of the stage after sharing — exactly the split -stats reports.
-var stTessellate = obs.Stage("tessellate.mesh")
 
 // Resolution is an STL export quality setting (paper Fig. 5).
 type Resolution struct {
@@ -82,9 +76,7 @@ func (r Resolution) Validate() error {
 // bodies produce outward shells; their cavities produce inward shells;
 // surface bodies produce open shells oriented concave-out (normals toward
 // the enclosed space), matching how the §3.2 surface sphere exports.
-func Tessellate(p *brep.Part, res Resolution) (_ *mesh.Mesh, err error) {
-	sp := stTessellate.Start()
-	defer func() { sp.EndErr(err) }()
+func Tessellate(p *brep.Part, res Resolution) (*mesh.Mesh, error) {
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}

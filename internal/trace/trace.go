@@ -21,6 +21,9 @@
 //     attribution are scheduling-dependent and excluded from the
 //     deterministic view.
 //
+// A Stage feeds both packages from one clock reading: each invocation
+// is one span here and one <name>.seconds observation in obs.
+//
 // The span hierarchy mirrors the paper's process chain: a run span
 // (quality matrix) parents one span per processing key, which parents
 // the stage spans (CAD, STL, slicing, printing, simulation), which emit
@@ -32,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"obfuscade/internal/obs"
 )
 
 // Kind classifies an event.
@@ -143,8 +148,8 @@ var std = New(0)
 // instrumentation.
 func Default() *Recorder { return std }
 
-func (r *Recorder) record(e Event) {
-	now := time.Now()
+// record stores e, which ended at now.
+func (r *Recorder) record(e Event, now time.Time) {
 	r.mu.Lock()
 	e.Seq = r.total
 	e.Start = now.Sub(r.epoch) - e.Dur
@@ -233,6 +238,7 @@ func parentSpan(ctx context.Context) uint64 {
 // so instrumented code never nil-checks.
 type Span struct {
 	r       *Recorder
+	stage   *Stage // observes the duration on End; nil for a plain span
 	id      uint64
 	parent  uint64
 	cat     string
@@ -243,6 +249,31 @@ type Span struct {
 	args    []Arg
 	ended   bool
 	endOnce sync.Once
+}
+
+// Stage is one named stage of the pipeline or the service, kept in a
+// package variable. Start opens a span on the default recorder, and the
+// span's End reads the clock once for both its duration and the stage's
+// <name>.calls, <name>.errors and <name>.seconds metrics in the default
+// obs registry, so /metrics, -stats and the trace cannot disagree.
+type Stage struct {
+	cat, name   string
+	calls, errs *obs.Counter
+	secs        *obs.Histogram
+}
+
+// NewStage registers the metrics of a stage whose spans have category
+// cat: "stage" inside a key, "run" for a whole matrix pass or job.
+func NewStage(cat, name string) *Stage {
+	r := obs.Default()
+	return &Stage{cat, name, r.Counter(name + ".calls"), r.Counter(name + ".errors"), r.Histogram(name+".seconds", nil)}
+}
+
+// Start opens one invocation's span under the span carried by ctx.
+func (st *Stage) Start(ctx context.Context, args ...Arg) (context.Context, *Span) {
+	ctx, sp := std.StartSpan(ctx, st.cat, st.name, args...)
+	sp.stage = st
+	return ctx, sp
 }
 
 // StartSpan opens a span under the span carried by ctx and returns a
@@ -274,14 +305,28 @@ func (s *Span) SetArg(key, value string) {
 	s.args = append(s.args, Arg{Key: key, Value: value})
 }
 
-// End records the span. Safe to call more than once; only the first
-// call records.
-func (s *Span) End() {
+// End records the span as a success. Safe to call more than once; only
+// the first End or EndErr records.
+func (s *Span) End() { s.EndErr(nil) }
+
+// EndErr records the span; a span opened by a Stage also observes its
+// duration there, counting an error when err is non-nil. One clock
+// reading gives both the span's duration and the observation.
+func (s *Span) EndErr(err error) {
 	if s == nil || s.r == nil {
 		return
 	}
 	s.endOnce.Do(func() {
+		now := time.Now()
+		dur := now.Sub(s.start)
 		s.ended = true
+		if st := s.stage; st != nil {
+			st.secs.Observe(dur.Seconds())
+			st.calls.Inc()
+			if err != nil {
+				st.errs.Inc()
+			}
+		}
 		s.r.record(Event{
 			ID:     s.id,
 			Parent: s.parent,
@@ -290,9 +335,9 @@ func (s *Span) End() {
 			Name:   s.name,
 			Worker: s.worker,
 			Trace:  s.trace,
-			Dur:    time.Since(s.start),
+			Dur:    dur,
 			Args:   s.args,
-		})
+		}, now)
 	})
 }
 
@@ -306,7 +351,7 @@ func (r *Recorder) Instant(ctx context.Context, cat, name string, args ...Arg) {
 		Worker: Worker(ctx),
 		Trace:  TraceIDFrom(ctx),
 		Args:   append([]Arg(nil), args...),
-	})
+	}, time.Now())
 }
 
 // StartSpan opens a span on the default recorder.

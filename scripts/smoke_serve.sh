@@ -6,6 +6,9 @@
 #   - the identical pair reports one miss then one hit, with the same
 #     job id and STL digest, and the served STL bytes hash to that digest
 #   - /metrics exposes exactly one cache hit and two misses
+#   - the two sinks of a stage agree: two core.job observations on
+#     /metrics and two core.job spans in /trace.ndjson for the two
+#     misses, one serve.sanitize of each for the sanitize pair
 #   - one POST /jobs/batch coalesces a quality-matrix sweep: four
 #     distinct jobs, all done, in submission order
 #   - SIGTERM drains gracefully (exit 0) and flushes one provenance
@@ -107,6 +110,13 @@ echo "$metrics" | grep -qx 'obfuscade_cache_hits_total 1' \
 echo "$metrics" | grep -qx 'obfuscade_cache_misses_total 2' \
     || fail "expected two cache misses:$(echo; echo "$metrics" | grep ^obfuscade_cache)"
 
+# One stage instrumentation feeds both sinks: each pipeline run is one
+# core.job observation on /metrics and one core.job span in the trace.
+spans() { curl -sf "$base/trace.ndjson" | jq -s --arg n "$1" '[.[] | select(.kind == "span" and .name == $n)] | length'; }
+echo "$metrics" | grep -qx 'obfuscade_core_job_seconds_count 2' \
+    || fail "expected two timed pipeline runs:$(echo; echo "$metrics" | grep ^obfuscade_core_job)"
+[ "$(spans core.job)" -eq 2 ] || fail "trace holds $(spans core.job) core.job spans, want 2"
+
 # The served STL bytes hash to the reported digest. The job keeps no
 # bytes; the read comes back through the result cache.
 id1="$(echo "$r1" | jq -r .id)"
@@ -151,6 +161,9 @@ echo "$metrics" | grep -qx 'obfuscade_serve_sanitize_requests_total 2' \
     || fail "expected two sanitize requests:$(echo; echo "$metrics" | grep ^obfuscade_serve_sanitize)"
 echo "$metrics" | grep -qx 'obfuscade_serve_sanitize_completed_total 1' \
     || fail "expected one sanitize compute:$(echo; echo "$metrics" | grep ^obfuscade_serve_sanitize)"
+echo "$metrics" | grep -qx 'obfuscade_serve_sanitize_seconds_count 1' \
+    || fail "expected one timed sanitize:$(echo; echo "$metrics" | grep ^obfuscade_serve_sanitize)"
+[ "$(spans serve.sanitize)" -eq 1 ] || fail "trace holds $(spans serve.sanitize) serve.sanitize spans, want 1"
 
 # Keep a never-sanitized STL around for run 2's deterministic shed.
 id3="$(echo "$r3" | jq -r .id)"
