@@ -8,13 +8,16 @@ import (
 	"obfuscade/internal/mesh"
 )
 
-// quantize snaps a coordinate to the grid. With a power-of-two quantum
-// both the scale and the product are exact in float64, and any grid
-// value a sane part can reach (|c| < 2^13 with the default quantum) is
-// also exact in float32 — so quantized meshes survive the STL wire
-// format bit-for-bit.
+// quantize snaps a coordinate to the grid at float32 precision. With a
+// power-of-two quantum both the scale and the product are exact in
+// float64, and any grid value a sane part can reach (|c| < 2^13 with the
+// default quantum) is also exact in float32. Beyond that float32's
+// spacing exceeds the quantum, so the snapped value is rounded to
+// float32 as well: the canonical keys, and the normals the encoder
+// derives from them, are then those of the bytes on the wire, and
+// quantized meshes survive the STL wire format bit-for-bit.
 func quantize(c, q float64) float64 {
-	return math.Round(c/q) * q
+	return float64(float32(math.Round(c/q) * q))
 }
 
 // residue is the sub-quantum remainder of a coordinate in units of the

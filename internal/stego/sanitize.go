@@ -20,7 +20,8 @@ type SanitizeReport struct {
 
 // SanitizeSTL decodes an STL file (binary or ASCII), destroys its stego
 // channels, and re-encodes it as binary STL. The output is canonical:
-// sanitizing the result again returns identical bytes.
+// sanitizing the result again returns identical bytes. Its header is
+// the fixed sanitizedHeader, so no input byte survives in it.
 func SanitizeSTL(data []byte, opts Options) ([]byte, SanitizeReport, error) {
 	opts = opts.withDefaults()
 	var rep SanitizeReport
@@ -34,11 +35,7 @@ func SanitizeSTL(data []byte, opts Options) ([]byte, SanitizeReport, error) {
 	clean := Sanitize(m, opts)
 	rep.After = Detect(clean, opts)
 	rep.Triangles = clean.TriangleCount()
-	name := "sanitized"
-	if len(clean.Shells) > 0 && clean.Shells[0].Name != "" {
-		name = clean.Shells[0].Name
-	}
-	out, err := stl.Marshal(clean, stl.Binary, name)
+	out, err := stl.Marshal(clean, stl.Binary, sanitizedHeader)
 	if err != nil {
 		return nil, rep, fmt.Errorf("stego: %w", err)
 	}

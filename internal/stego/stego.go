@@ -42,7 +42,12 @@ import (
 // Version tags the sanitizer's behaviour. It is hashed into the
 // service's content addresses so a change to the canonical order, the
 // quantum default, or the frame format invalidates cached results.
-const Version = "obfuscade-stego/1"
+const Version = "obfuscade-stego/2"
+
+// sanitizedHeader is the binary STL header of every sanitized file. The
+// input's header or solid name is free text an attacker controls, so it
+// never reaches the output.
+const sanitizedHeader = "sanitized by " + Version
 
 // DefaultQuantum is the coordinate grid the sanitizer snaps to: 2^-10
 // model units (sub-micron at mm scale), far below any printer's

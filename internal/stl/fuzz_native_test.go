@@ -35,14 +35,12 @@ func FuzzUnmarshal(f *testing.F) {
 		if got.TriangleCount() < 0 {
 			t.Fatal("negative triangle count")
 		}
-		// ASCII decodes must never yield non-finite geometry.
-		if looksASCII(data) {
-			for _, tri := range got.AllTriangles() {
-				for _, v := range [...][3]float64{{tri.A.X, tri.A.Y, tri.A.Z}, {tri.B.X, tri.B.Y, tri.B.Z}, {tri.C.X, tri.C.Y, tri.C.Z}} {
-					for _, c := range v {
-						if math.IsNaN(c) || math.IsInf(c, 0) {
-							t.Fatal("decoded non-finite coordinate from ASCII input")
-						}
+		// No decode may yield geometry that is not finite as float32.
+		for _, tri := range got.AllTriangles() {
+			for _, v := range [...][3]float64{{tri.A.X, tri.A.Y, tri.A.Z}, {tri.B.X, tri.B.Y, tri.B.Z}, {tri.C.X, tri.C.Y, tri.C.Z}} {
+				for _, c := range v {
+					if f := float64(float32(c)); math.IsNaN(f) || math.IsInf(f, 0) {
+						t.Fatal("decoded a coordinate that is not finite as float32")
 					}
 				}
 			}

@@ -203,13 +203,25 @@ func decodeBinary(data []byte) (*mesh.Mesh, error) {
 	}
 	for i := uint32(0); i < count; i++ {
 		base := off + int(i)*binaryFacetSize
-		s.Tris = append(s.Tris, geom.Triangle{
-			A: getVec(base + 12),
-			B: getVec(base + 24),
-			C: getVec(base + 36),
-		})
+		t := geom.Triangle{A: getVec(base + 12), B: getVec(base + 24), C: getVec(base + 36)}
+		if !finite32(t.A) || !finite32(t.B) || !finite32(t.C) {
+			return nil, fmt.Errorf("stl: facet %d: non-finite vertex coordinate", i)
+		}
+		s.Tris = append(s.Tris, t)
 	}
 	return &mesh.Mesh{Shells: []mesh.Shell{s}}, nil
+}
+
+// finite32 reports whether every coordinate of v is finite as the binary
+// dialect's float32. NaN and ±Inf poison every downstream geometric
+// predicate without ever failing loudly.
+func finite32(v geom.Vec3) bool {
+	for _, c := range [...]float64{v.X, v.Y, v.Z} {
+		if f := float64(float32(c)); math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // scanASCIILines is a bufio.SplitFunc that terminates lines on "\n",
@@ -267,13 +279,9 @@ func decodeASCII(data []byte) (*mesh.Mesh, error) {
 				&v.X, &v.Y, &v.Z); err != nil {
 				return nil, fmt.Errorf("stl: line %d: %w", line, err)
 			}
-			// %g happily parses NaN and ±Inf, which poison every
-			// downstream geometric predicate (bounds, slicing,
-			// welding) without ever failing loudly. Reject here.
-			for _, c := range [...]float64{v.X, v.Y, v.Z} {
-				if math.IsNaN(c) || math.IsInf(c, 0) {
-					return nil, fmt.Errorf("stl: line %d: non-finite vertex coordinate %q", line, strings.Join(fields[1:], " "))
-				}
+			// %g happily parses NaN, ±Inf and 1e100. Reject here.
+			if !finite32(v) {
+				return nil, fmt.Errorf("stl: line %d: non-finite vertex coordinate %q", line, strings.Join(fields[1:], " "))
 			}
 			verts = append(verts, v)
 		case "endfacet":

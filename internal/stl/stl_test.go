@@ -2,6 +2,7 @@ package stl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -136,6 +137,8 @@ func TestDecodeASCIIRejectsNonFinite(t *testing.T) {
 		"nan":  "vertex NaN 0 0",
 		"inf":  "vertex 0 +Inf 0",
 		"ninf": "vertex 0 0 -inf",
+		// Finite in float64, +Inf once written as binary float32.
+		"big": "vertex 1e100 0 0",
 	}
 	for name, vtx := range cases {
 		bad := "solid x\nfacet normal 0 0 1\nouter loop\n" + vtx +
@@ -144,6 +147,23 @@ func TestDecodeASCIIRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: expected error for non-finite coordinate", name)
 		} else if !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("%s: error %q does not mention non-finite", name, err)
+		}
+	}
+}
+
+func TestDecodeBinaryRejectsNonFinite(t *testing.T) {
+	good, err := Marshal(boxMesh(), Binary, "box")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]float32{
+		"nan": float32(math.NaN()), "inf": float32(math.Inf(1)), "ninf": float32(math.Inf(-1)),
+	} {
+		bad := bytes.Clone(good)
+		// The second vertex's y coordinate of the first facet.
+		binary.LittleEndian.PutUint32(bad[binaryHeaderSize+4+28:], math.Float32bits(c))
+		if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: got error %v, want a non-finite coordinate error", name, err)
 		}
 	}
 }
