@@ -127,34 +127,38 @@ func statsFlag(fs *flag.FlagSet) func() {
 }
 
 // debugFlags registers the shared -debug-addr and -trace-out flags.
-// start binds the debug server synchronously (a bad address fails the
-// subcommand before any work runs); finish writes the trace file and
-// stops the server. Subcommands defer keepFirst(&err, finish), so a
-// trace file that cannot be written fails the run.
+// start binds the debug server and creates the trace file synchronously,
+// so a bad address or an unwritable path fails the subcommand before
+// any work runs; finish fills the trace file and stops the server.
+// Subcommands defer keepFirst(&err, finish), so a trace that cannot be
+// written fails the run.
 func debugFlags(fs *flag.FlagSet) (start, finish func() error) {
 	addr := fs.String("debug-addr", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address")
 	traceOut := fs.String("trace-out", "", "write the run's Chrome trace JSON to this file on exit")
 	var srv *trace.DebugServer
-	start = func() error {
-		if *addr == "" {
-			return nil
+	var out *os.File
+	start = func() (err error) {
+		if *traceOut != "" {
+			if out, err = os.Create(*traceOut); err != nil {
+				return err
+			}
 		}
-		s, err := trace.StartDebugServer(*addr, obs.Default(), trace.Default())
-		if err != nil {
-			return err
+		if *addr != "" {
+			if srv, err = trace.StartDebugServer(*addr, obs.Default(), trace.Default()); err != nil {
+				return err
+			}
+			fmt.Fprintln(os.Stderr, "obfuscade: debug server on", srv.URL())
 		}
-		srv = s
-		fmt.Fprintln(os.Stderr, "obfuscade: debug server on", s.URL())
 		return nil
 	}
 	finish = func() error {
 		if srv != nil {
 			defer srv.Close()
 		}
-		if *traceOut == "" {
+		if out == nil {
 			return nil
 		}
-		return writeFile(*traceOut, trace.Default().WriteChrome)
+		return fill(out, trace.Default().WriteChrome)
 	}
 	return start, finish
 }
@@ -168,13 +172,9 @@ func keepFirst(err *error, f func() error) {
 	}
 }
 
-// writeFile creates path and fills it with write, returning the first
-// error of the create, the write or the close.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+// fill writes f with write and closes it, returning the first error of
+// the write or the close.
+func fill(f *os.File, write func(io.Writer) error) error {
 	if err := write(f); err != nil {
 		f.Close()
 		return err
@@ -465,8 +465,12 @@ func cmdMatrix(args []string) (err error) {
 			printKeySpace(core.KeySpaceFromEntries(entries))
 		}
 		if *manifestOut != "" {
+			f, werr := os.Create(*manifestOut)
+			if werr != nil {
+				return werr
+			}
 			var n int
-			if werr := writeFile(*manifestOut, func(w io.Writer) (err error) {
+			if werr := fill(f, func(w io.Writer) (err error) {
 				n, err = core.WriteManifests(w, entries, 0)
 				return err
 			}); werr != nil {

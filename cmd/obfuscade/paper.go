@@ -168,8 +168,8 @@ func experimentNames() string {
 }
 
 // cmdPaper regenerates the paper's tables and figures. An unknown -exp
-// name and a debug address that cannot bind both fail before any
-// experiment runs.
+// name, a debug address that cannot bind and an output file that cannot
+// be created all fail before any experiment runs.
 func cmdPaper(args []string) (err error) {
 	fs := flag.NewFlagSet("paper", flag.ExitOnError)
 	exp := fs.String("exp", "all", "experiment to run: "+experimentNames())
@@ -195,12 +195,16 @@ func cmdPaper(args []string) (err error) {
 	defer emitStats()
 	defer keepFirst(&err, finishDebug)
 	if *memProfile != "" {
+		f, merr := os.Create(*memProfile)
+		if merr != nil {
+			return merr
+		}
 		defer keepFirst(&err, func() error {
 			// A final GC settles the in-use numbers, so
 			// -sample_index=inuse_space reads as well as the cumulative
 			// allocation sites.
 			runtime.GC()
-			return writeFile(*memProfile, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+			return fill(f, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
 		})
 	}
 	if *cpuProfile != "" {

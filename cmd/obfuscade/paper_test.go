@@ -118,14 +118,20 @@ func TestPaperDebugBindFailsFirst(t *testing.T) {
 	}
 }
 
-// TestPaperTraceOutFailure checks that a -trace-out file that cannot be
-// written fails the run instead of being dropped at exit.
+// TestPaperTraceOutFailure checks that a -trace-out or -memprofile file
+// that cannot be created fails the run before any experiment prints,
+// instead of after the whole run or not at all.
 func TestPaperTraceOutFailure(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "missing", "trace.json")
-	var err error
-	captureStdout(t, func() { err = cmdPaper([]string{"-exp", "fig5", "-trace-out", bad}) })
-	if err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("paper -trace-out %s: got error %v, want a create failure", bad, err)
+	bad := filepath.Join(t.TempDir(), "missing", "out")
+	for _, flag := range []string{"-trace-out", "-memprofile"} {
+		var err error
+		out := captureStdout(t, func() { err = cmdPaper([]string{"-exp", "fig5", flag, bad}) })
+		if err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Errorf("paper %s %s: got error %v, want a create failure", flag, bad, err)
+		}
+		if out != "" {
+			t.Errorf("paper %s %s printed before failing:\n%s", flag, bad, out)
+		}
 	}
 }
 
