@@ -60,18 +60,15 @@ func less9(a, b flat9) bool {
 // "which vertex comes first" freedom — a third covert channel the
 // sanitizer destroys for free.
 func canonTriangle(t geom.Triangle, q float64) flat9 {
-	rots := [3]flat9{
-		flatten(geom.Triangle{A: t.A, B: t.B, C: t.C}),
-		flatten(geom.Triangle{A: t.B, B: t.C, C: t.A}),
-		flatten(geom.Triangle{A: t.C, B: t.A, C: t.B}),
+	f := flatten(t)
+	for j := range f {
+		f[j] = quantize(f[j], q)
 	}
-	for i := range rots {
-		for j := range rots[i] {
-			rots[i][j] = quantize(rots[i][j], q)
-		}
-	}
-	best := rots[0]
-	for _, r := range rots[1:] {
+	best := f
+	for _, r := range [2]flat9{
+		{f[3], f[4], f[5], f[6], f[7], f[8], f[0], f[1], f[2]},
+		{f[6], f[7], f[8], f[0], f[1], f[2], f[3], f[4], f[5]},
+	} {
 		if less9(r, best) {
 			best = r
 		}
