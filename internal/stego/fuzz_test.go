@@ -31,8 +31,8 @@ func FuzzSanitizeSTL(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	// The output header used to copy the input's solid name, which a
-	// re-read replaced with a default.
+	// A solid name that a re-read would replace must not reach the
+	// output header.
 	f.Add([]byte("solid \x00"))
 	// Finite in float64 but +Inf once written as binary float32.
 	f.Add([]byte("solid x\nfacet normal 0 0 1\nouter loop\nvertex 1e100 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid x\n"))
